@@ -79,10 +79,13 @@ restart-smoke: build
 chaos:
 	$(GO) run ./cmd/chaos -runs $(CHAOS_RUNS) -seed $(CHAOS_SEED)
 
-# fuzz exercises the hardened graph readers for FUZZTIME per target.
+# fuzz exercises the hardened graph readers for FUZZTIME per target;
+# FuzzReadDifferential checks the single-pass Metis reader against the
+# map-based reference it replaced.
 fuzz:
 	$(GO) test ./internal/graph/gio -run '^$$' -fuzz FuzzRead$$ -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph/gio -run '^$$' -fuzz FuzzReadGR$$ -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph/gio -run '^$$' -fuzz FuzzReadDifferential$$ -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) run ./cmd/bench

@@ -109,8 +109,11 @@ type Node struct {
 	// context its forward carried — so status, trace, profile, and cancel
 	// requests follow it transparently and GET /jobs/{id}/trace can
 	// stitch the remote spans under the entry node's forward span.
+	// fwdOrder lists its keys oldest first; rememberForward evicts from
+	// the front beyond the server's MaxJobs.
 	mu        sync.Mutex
 	forwarded map[string]fwdInfo // job ID -> owning peer + trace context
+	fwdOrder  []string
 
 	hints *hintTable
 	repl  chan replTask
@@ -460,9 +463,7 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if status == http.StatusOK || status == http.StatusAccepted {
 			var st server.JobStatus
 			if json.Unmarshal(respBody, &st) == nil && st.ID != "" {
-				n.mu.Lock()
-				n.forwarded[st.ID] = fi
-				n.mu.Unlock()
+				n.rememberForward(st.ID, fi)
 			}
 		}
 		relay(w, status, respBody)
@@ -586,6 +587,23 @@ func (n *Node) forward(p Peer, req server.SubmitRequest, key, traceID string) (i
 	}
 	n.net.Charge(len(b))
 	return resp.StatusCode, b, fi, nil
+}
+
+// rememberForward records where a forwarded job lives. Like the job
+// index it mirrors, the record is bounded by the server's MaxJobs: the
+// oldest forwards are forgotten first, after which lookups of their IDs
+// are served locally (404) instead of proxied.
+func (n *Node) rememberForward(id string, fi fwdInfo) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if _, ok := n.forwarded[id]; !ok {
+		n.fwdOrder = append(n.fwdOrder, id)
+	}
+	n.forwarded[id] = fi
+	for len(n.fwdOrder) > n.srv.MaxJobs() {
+		delete(n.forwarded, n.fwdOrder[0])
+		n.fwdOrder = n.fwdOrder[1:]
+	}
 }
 
 // proxyOrLocal serves job lookups: jobs this node forwarded are fetched

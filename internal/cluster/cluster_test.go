@@ -354,6 +354,54 @@ func TestClusterForwardedJobPinned(t *testing.T) {
 	}
 }
 
+// TestClusterForwardedBounded: the entry node's record of forwarded jobs
+// keeps only the newest MaxJobs, so it cannot grow for the life of the
+// process, and the newest forward is still proxied to its owner.
+func TestClusterForwardedBounded(t *testing.T) {
+	const maxJobs = 3
+	nodes := startTestRingCfg(t, 2, func(_ int, c *server.Config) { c.MaxJobs = maxJobs }, nil)
+	entry := nodes[0]
+
+	g, err := gpmetis.Grid2D(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := clusterGraphText(t, g)
+	var last server.JobStatus
+	forwarded := 0
+	for seed := int64(1); forwarded < 2*maxJobs; seed++ {
+		req := server.SubmitRequest{Graph: text, K: 2, Seed: seed}
+		keyReq := req
+		key, err := server.KeyForRequest(&keyReq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if entry.node.Ring().Owner(key).ID == entry.peer.ID {
+			continue
+		}
+		last, _ = clusterSubmit(t, entry.base(), req)
+		last = clusterPoll(t, entry.base(), last.ID)
+		forwarded++
+	}
+	if fw := entry.node.Status().Forwards; fw != 2*maxJobs {
+		t.Fatalf("entry node forwarded %d jobs, want %d", fw, 2*maxJobs)
+	}
+	entry.node.mu.Lock()
+	held, order := len(entry.node.forwarded), len(entry.node.fwdOrder)
+	_, newest := entry.node.forwarded[last.ID]
+	entry.node.mu.Unlock()
+	if held != maxJobs || order != maxJobs {
+		t.Errorf("entry node remembers %d forwards (%d ordered), want %d", held, order, maxJobs)
+	}
+	if !newest {
+		t.Error("the newest forward must still be remembered")
+	}
+	if last.State != server.StateDone || last.Node != nodes[1].peer.Addr {
+		t.Errorf("newest forward: state %s on %q, want done on the owner %q",
+			last.State, last.Node, nodes[1].peer.Addr)
+	}
+}
+
 // TestClusterStatusOnHealthz: every ring member reports its identity,
 // the member list, and per-peer health on /healthz.
 func TestClusterStatusOnHealthz(t *testing.T) {

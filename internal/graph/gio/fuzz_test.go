@@ -2,6 +2,7 @@ package gio
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -59,6 +60,75 @@ func FuzzRead(f *testing.F) {
 		}
 		if h.NumVertices() != g.NumVertices() || h.NumEdges() != g.NumEdges() {
 			t.Fatalf("round trip changed size: %v -> %v", g, h)
+		}
+	})
+}
+
+// FuzzReadDifferential checks Read against readReference, the map-based
+// reader it replaced: on any input both accept or both reject, and an
+// accepted graph has the same CSR arrays. The seeds aim at the places
+// where the reference's bufio.Scanner, strings.Fields and strconv.Atoi
+// behave in ways a hand-written tokenizer can miss.
+func FuzzReadDifferential(f *testing.F) {
+	limitSizes(f)
+	for _, seed := range []string{
+		// Unicode whitespace strings.Fields splits on, and look-alikes it
+		// does not: a bare 0x85 or 0xa0 byte is invalid UTF-8, not a space.
+		"2 1\u00a0\n2\u3000\n1\u0085\n",
+		"2\u00a01\n\u30002\n1\n",
+		"2 1 001\n2\u20285\n1\u2029 5\n",
+		"\u3000% comment\n2 1\n2\n1\n",
+		"2 1\n2\x85\n1\n",
+		"2 1\n2\xa0\n1\n",
+		"2 1\n\xc2\n1\n",
+		"3 1\n2\v\f\n1\n\u00a0\n",
+		// CRLF line endings, a lone CR as the last line.
+		"2 1\r\n2\r\n1\r\n",
+		"3 1\r\n2\r\n1\r\n\r",
+		// Signs, leading zeros, and tokens past int's range that a naive
+		// accumulator would wrap to a valid value.
+		"2 1\n+2\n1\n",
+		"2 1 001\n2 +5\n0001 05\n",
+		"2 1 001\n-2 5\n1 5\n",
+		"+2 01\n2\n1\n",
+		"2 1\n18446744073709551618\n1\n",
+		"2 1 001\n2 18446744073709551621\n1 18446744073709551621\n",
+		"2 1 001\n2 9223372036854775807\n1 9223372036854775807\n",
+		"2 1 001\n2 9223372036854775808\n1 9223372036854775808\n",
+		"18446744073709551618 0\n",
+		"2 1 010 18446744073709551617\n1 2\n1 1\n",
+		// Lines at and past the scanner's 16 MB token limit.
+		"1 0\n" + strings.Repeat(" ", 1<<24-1) + "\n",
+		"1 0\n" + strings.Repeat(" ", 1<<24),
+		// Comments between vertex lines, blank and final lines.
+		"3 2\n2\n% comment\n1 3\n  % indented\n2\n",
+		"% c\n%\n2 1\n% between\n2\n1",
+		"2 1\n2\n1\ntrailing garbage\n",
+		"1 0\n",
+		"1 0 010\n \n",
+		// Unsorted rows, one row out of order, the header's counts off.
+		"4 4\n4 2\n3 1\n4 2\n3 1\n",
+		"3 1000\n2\n1 3\n2\n",
+		"3 1\n2 3\n1 3\n1 2\n",
+		"3 2\n3 2\n1\n2 1\n",
+		// fmt and ncon fields the header check reads loosely.
+		"2 1 x1\n2 5\n1 5\n",
+		"2 1 1\n2 3\n1 3\n",
+		"2 1 0001\n2\n1\n",
+		"2 1 010 1\n1 2\n1 1\n",
+		"2 1 010 -3\n1 2\n1 1\n",
+		"2 1 010 x\n1 2\n1 1\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, werr := readReference(bytes.NewReader(data))
+		got, gerr := Read(bytes.NewReader(data))
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("readReference error %v, Read error %v", werr, gerr)
+		}
+		if werr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("Read built %+v, readReference %+v", got, want)
 		}
 	})
 }

@@ -44,6 +44,10 @@ type Comm struct {
 	barrierN    int
 	barrierGen  int
 	barrierMax  float64
+	// barrierRelease is the clock the last completed generation released
+	// its ranks at. Waiters read it, not barrierMax, which a rank already
+	// in the next barrier may have raised by the time they wake.
+	barrierRelease float64
 
 	// Abort state: the first failing rank records its error and closes
 	// abortCh; every rank blocked in Send/Recv/Barrier wakes up and
@@ -262,6 +266,7 @@ func (r *Rank) Barrier() {
 		c.barrierN = 0
 		c.barrierGen++
 		c.barrierMax += c.m.Net.LatencySec
+		c.barrierRelease = c.barrierMax
 		c.barrierCond.Broadcast()
 	} else {
 		for gen == c.barrierGen && !c.aborted {
@@ -272,7 +277,7 @@ func (r *Rank) Barrier() {
 			panic(abortPanic{})
 		}
 	}
-	r.clock = c.barrierMax
+	r.clock = c.barrierRelease
 	c.barrierMu.Unlock()
 }
 

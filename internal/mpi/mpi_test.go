@@ -98,6 +98,30 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 	}
 }
 
+// TestBarrierReleaseIndependentOfWakeOrder runs many back-to-back
+// barriers with skewed rank clocks. A rank that leaves a barrier early
+// and enters the next one raises the running maximum before slower
+// waiters have woken; every rank must still leave each barrier with the
+// same clock, whatever order the scheduler wakes them in.
+func TestBarrierReleaseIndependentOfWakeOrder(t *testing.T) {
+	const P, rounds = 4, 200
+	clocks := make([][P]float64, rounds)
+	run(t, P, func(r *Rank) {
+		for i := 0; i < rounds; i++ {
+			r.ChargeSeconds(float64((r.ID()+i)%P) * 1e-3)
+			r.Barrier()
+			clocks[i][r.ID()] = r.Clock()
+		}
+	})
+	for i, c := range clocks {
+		for p := 1; p < P; p++ {
+			if c[p] != c[0] {
+				t.Fatalf("barrier %d: ranks left with clocks %v", i, c)
+			}
+		}
+	}
+}
+
 func TestChargeAccumulates(t *testing.T) {
 	run(t, 1, func(r *Rank) {
 		r.Charge(perfmodel.ThreadCost{Ops: 1e9})

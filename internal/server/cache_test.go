@@ -122,3 +122,38 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Error("zero-capacity cache must not store")
 	}
 }
+
+// TestTerminalJobsReleaseGraph pins that the job index does not keep
+// parsed graphs alive: a cache hit drops its graph before Submit returns,
+// and a job that ran drops it once its worker is done, keeping only the
+// vertex count.
+func TestTerminalJobsReleaseGraph(t *testing.T) {
+	g, err := gpmetis.Grid2D(20, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := graphText(t, g)
+	s := New(Config{Devices: 1, QueueCap: 4, CacheCap: 8})
+	ran, err := s.Submit(&SubmitRequest{Graph: text, K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, s, ran.ID)
+	hit, err := s.Submit(&SubmitRequest{Graph: text, K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Status().Cached {
+		t.Fatal("the resubmission must be a cache hit")
+	}
+	if hit.g != nil {
+		t.Error("a cache hit must not retain its graph")
+	}
+	s.Close() // waits for the worker, so its release is visible
+	if ran.g != nil {
+		t.Error("a job that ran must not retain its graph")
+	}
+	if ran.vertices != g.NumVertices() || hit.vertices != g.NumVertices() {
+		t.Errorf("vertex counts %d and %d, want %d", ran.vertices, hit.vertices, g.NumVertices())
+	}
+}

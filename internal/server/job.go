@@ -17,14 +17,20 @@ import (
 type Job struct {
 	ID string
 
-	// Immutable after resolve.
-	g       *graph.Graph
-	k       int
-	algo    gpmetis.Algorithm
-	opts    gpmetis.Options // resolved: defaults applied, no Tracer/Machine yet
-	key     string          // content address; "" when NoCache
-	noCache bool
-	req     *SubmitRequest // original wire request, retained for the journal
+	// Immutable after resolve, except g: the goroutine that last uses
+	// the graph sets it to nil once the job is terminal, so the MaxJobs
+	// terminal jobs the index retains do not pin their graphs. That is
+	// the worker that ran or retired the job, Submit after a cache hit,
+	// or follow once a coalesced follower (which may take over and run)
+	// is terminal. vertices outlives g for the estimator and admit span.
+	g        *graph.Graph
+	vertices int
+	k        int
+	algo     gpmetis.Algorithm
+	opts     gpmetis.Options // resolved: defaults applied, no Tracer/Machine yet
+	key      string          // content address; "" when NoCache
+	noCache  bool
+	req      *SubmitRequest // original wire request, retained for the journal
 
 	// resume, when non-nil, is a checkpoint loaded during crash recovery;
 	// the scheduler feeds it to the run so the job continues from the
@@ -86,7 +92,7 @@ func resolveRequest(req *SubmitRequest) (*Job, error) {
 	)
 	switch req.Format {
 	case "", "metis":
-		g, err = gio.Read(strings.NewReader(req.Graph))
+		g, err = gio.ReadString(req.Graph)
 	case "gr":
 		g, err = gio.ReadGR(strings.NewReader(req.Graph))
 	default:
@@ -148,15 +154,16 @@ func resolveRequest(req *SubmitRequest) (*Job, error) {
 	}
 
 	j := &Job{
-		g:       g,
-		k:       req.K,
-		algo:    algo,
-		opts:    o,
-		noCache: req.NoCache,
-		req:     req,
-		state:   StateQueued,
-		device:  -1,
-		done:    make(chan struct{}),
+		g:        g,
+		vertices: g.NumVertices(),
+		k:        req.K,
+		algo:     algo,
+		opts:     o,
+		noCache:  req.NoCache,
+		req:      req,
+		state:    StateQueued,
+		device:   -1,
+		done:     make(chan struct{}),
 	}
 	if !req.NoCache {
 		j.key = CacheKey(GraphDigest(g), canonicalOptions(algo, req.K, o, req.Faults, faultSeed))

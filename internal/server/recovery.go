@@ -178,7 +178,7 @@ func (s *Server) readmit(id string, f *foldedJob, readmitted, resumed *int) {
 	job.ID = id
 	job.recovered = true
 	job.tenant = s.tenants.state(f.req.Tenant)
-	est := s.est.costs(job.algo, job.g.NumVertices())
+	est := s.est.costs(job.algo, job.vertices)
 	job.estWall, job.estModeled = est.wall, est.modeled
 	// A recovered job gets a fresh trace ID (the journal does not record
 	// them) and a lifecycle clock restarting at recovery, mirroring the

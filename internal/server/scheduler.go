@@ -114,6 +114,7 @@ func (p *pool) worker(ctx context.Context, slot int) {
 		}
 		if err := job.ctx.Err(); err != nil {
 			p.finishDead(job, err)
+			job.g = nil
 			continue
 		}
 		pop := time.Now()
@@ -136,6 +137,7 @@ func (p *pool) worker(ctx context.Context, slot int) {
 		job.markRunStart(t0)
 		p.s.event(obs.EvRunStart, job, slot, "")
 		p.runJob(job, slot)
+		job.g = nil
 		t1 := time.Now()
 		ran := t1.Sub(t0).Seconds()
 		job.addLifeSpan(lifeRun, t0, t1, map[string]any{
@@ -152,7 +154,7 @@ func (p *pool) worker(ctx context.Context, slot int) {
 		// account from genuine completed runs only: cache hits and
 		// coalesced followers cost nothing and would drag the EWMA to 0.
 		if st := job.Status(); st.State == StateDone && st.Result != nil {
-			p.s.est.observe(job.algo, job.g.NumVertices(), ran, st.Result.ModeledSeconds)
+			p.s.est.observe(job.algo, job.vertices, ran, st.Result.ModeledSeconds)
 			job.tenant.addServed(st.Result.ModeledSeconds)
 			p.s.journalEstimator()
 		}

@@ -568,6 +568,10 @@ func (s *Server) StoreReplicated(key string, res *JobResult) bool {
 	return true
 }
 
+// MaxJobs returns the job index's retention cap (Config.MaxJobs after
+// defaults), the bound the cluster tier applies to its own per-job state.
+func (s *Server) MaxJobs() int { return s.cfg.MaxJobs }
+
 // CachedKeys returns the content keys of every cached result, the scan
 // behind anti-entropy summaries and the decommission push.
 func (s *Server) CachedKeys() []string { return s.cache.Keys() }
@@ -702,6 +706,7 @@ func (s *Server) Submit(req *SubmitRequest) (*Job, error) {
 			s.jlog(job).Info("job admitted", "outcome", "cache-hit", "k", job.k)
 			s.journalSubmit(job)
 			job.finishCached(hit)
+			job.g = nil
 			s.spawnWatch(job)
 			return job, nil
 		}
@@ -757,10 +762,10 @@ func (s *Server) Submit(req *SubmitRequest) (*Job, error) {
 	// the queued work ahead of it plus its own service time is rejected
 	// now, not failed after burning a queue slot. Cold cells admit
 	// optimistically.
-	est := s.est.costs(job.algo, job.g.NumVertices())
+	est := s.est.costs(job.algo, job.vertices)
 	job.estWall, job.estModeled = est.wall, est.modeled
 	if deadline > 0 {
-		if known, ok := s.est.lookup(job.algo, job.g.NumVertices()); ok {
+		if known, ok := s.est.lookup(job.algo, job.vertices); ok {
 			depth, queuedWall := s.fq.stats()
 			need := queuedWall/float64(s.cfg.Devices) + known.wall
 			if need > deadline.Seconds() {
@@ -817,7 +822,7 @@ func (s *Server) Submit(req *SubmitRequest) (*Job, error) {
 	job.addLifeSpan(lifeAdmit, t0, time.Now(), admitAttrs(job, "queued"))
 	s.event(obs.EvAdmit, job, -1, "queued")
 	s.jlog(job).Info("job admitted", "outcome", "queued", "k", job.k,
-		"vertices", job.g.NumVertices(), "queue_depth", s.fq.Len(), "tenant", job.tenant.name)
+		"vertices", job.vertices, "queue_depth", s.fq.Len(), "tenant", job.tenant.name)
 	s.journalSubmit(job)
 	s.spawnWatch(job)
 	s.watchQueued(job)
@@ -888,9 +893,11 @@ func (s *Server) watchQueued(j *Job) {
 			wait := now.Sub(j.queuedAt).Seconds()
 			s.reg.Observe("job.queue_seconds", wait)
 			j.addLifeSpan(lifeQueueWait, j.queuedAt, now, map[string]any{"expired": true})
-			s.pool.finishDead(j, j.ctx.Err())
+			// Record the expiry before finishing: whoever waits on the
+			// job's Done must find the event already in the recorder.
 			s.event(obs.EvQueueExpired, j, -1, fmt.Sprintf("after %.3fs queued", wait))
 			s.jlog(j).Info("queued job expired eagerly", "wait_seconds", wait)
+			s.pool.finishDead(j, j.ctx.Err())
 		}
 	}()
 }
@@ -948,7 +955,7 @@ func (s *Server) shedOverShare() {
 
 // admitAttrs builds the admit span's trace args.
 func admitAttrs(j *Job, outcome string) map[string]any {
-	return map[string]any{"outcome": outcome, "k": j.k, "vertices": j.g.NumVertices()}
+	return map[string]any{"outcome": outcome, "k": j.k, "vertices": j.vertices}
 }
 
 // spawnWatch and spawnFollow run their goroutines under the server
@@ -977,12 +984,14 @@ func (s *Server) follow(j, leader *Job) {
 				s.reg.Add("jobs.canceled", 1)
 				j.finish(StateCanceled, nil, "canceled while coalesced")
 			}
+			j.g = nil
 			return
 		case <-leader.Done():
 		}
 		if st := leader.Status(); st.State == StateDone && st.Result != nil {
 			s.reg.Add("jobs.completed", 1)
 			j.finishCoalesced(st.Result, leader.Profile())
+			j.g = nil
 			return
 		}
 		// The leader failed or was canceled; its outcome must not bind
@@ -990,6 +999,7 @@ func (s *Server) follow(j, leader *Job) {
 		// then re-follow or take over.
 		if hit, ok := s.cache.Get(j.key); ok {
 			j.finishCached(hit)
+			j.g = nil
 			return
 		}
 		s.mu.Lock()
@@ -1000,7 +1010,7 @@ func (s *Server) follow(j, leader *Job) {
 		}
 		s.inflight[j.key] = j
 		s.mu.Unlock()
-		est := s.est.costs(j.algo, j.g.NumVertices())
+		est := s.est.costs(j.algo, j.vertices)
 		j.estWall, j.estModeled = est.wall, est.modeled
 		j.queuedAt = time.Now()
 		// The follower was already admitted once; quota does not apply to
@@ -1013,6 +1023,7 @@ func (s *Server) follow(j, leader *Job) {
 			s.mu.Unlock()
 			s.reg.Add("jobs.failed", 1)
 			j.finish(StateFailed, nil, "queue full after coalesced leader aborted")
+			j.g = nil
 			return
 		}
 		s.reg.Add("queue.depth", 1)
