@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 CHAOS_RUNS ?= 25
 CHAOS_SEED ?= 1
 
-.PHONY: build test check vet staticcheck race bench bench-snapshot perf-gate serve-smoke restart-smoke cluster-smoke chaos fuzz metrics-lint
+.PHONY: build test check vet staticcheck race determinism bench bench-snapshot perf-gate serve-smoke restart-smoke cluster-smoke chaos fuzz metrics-lint
 
 build:
 	$(GO) build ./...
@@ -30,10 +30,20 @@ staticcheck:
 		echo "staticcheck: not installed, skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
+# determinism re-runs every determinism and resume-parity test (names
+# containing Determinis or Resume, plus the MPI barrier's wake-order test)
+# at GOMAXPROCS 1, 2 and 4, ten times each, so the bit-identity claims hold
+# under real parallelism and not just on one core. internal/core runs five
+# times each: its full-pipeline runs dominate the target's wall time.
+DETERMINISM_TESTS = 'Determinis|Resume|TestBarrierReleaseIndependentOfWakeOrder'
+determinism:
+	$(GO) test -run $(DETERMINISM_TESTS) -cpu 1,2,4 -count 10 $$($(GO) list ./... | grep -v '/internal/core$$')
+	$(GO) test -run $(DETERMINISM_TESTS) -cpu 1,2,4 -count 5 ./internal/core
+
 # check is the PR gate: static analysis, the race detector, the
-# metrics-exposition lint, and the perf-regression gate against the
-# committed baseline.
-check: vet staticcheck race metrics-lint perf-gate
+# metrics-exposition lint, the determinism re-runs, and the
+# perf-regression gate against the committed baseline.
+check: vet staticcheck race metrics-lint determinism perf-gate
 
 # metrics-lint asserts every registered series appears on a FRESH
 # /metrics scrape — counters, declared histograms, and the eagerly

@@ -28,6 +28,9 @@ func TestSentinelErrors(t *testing.T) {
 		{"imbalance below one", g, 4, Options{UBFactor: 0.9}, ErrBadImbalance},
 		{"empty graph", &Graph{XAdj: []int{0}}, 1, Options{}, ErrEmptyGraph},
 		{"unknown merge strategy", g, 4, Options{Merge: MergeStrategy(99)}, ErrBadOption},
+		{"warp wider than the simulator", g, 4, Options{Machine: machineWith(func(m *Machine) { m.GPU.WarpSize = 64 })}, ErrBadOption},
+		{"zero transaction size", g, 4, Options{Machine: machineWith(func(m *Machine) { m.GPU.TransactionBytes = 0 })}, ErrBadOption},
+		{"invalid machine, CPU algorithm", g, 4, Options{Algorithm: Metis, Machine: machineWith(func(m *Machine) { m.CPU.Cores = 0 })}, ErrBadOption},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -37,6 +40,13 @@ func TestSentinelErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// machineWith returns the default machine after edit.
+func machineWith(edit func(*Machine)) *Machine {
+	m := DefaultMachine()
+	edit(m)
+	return m
 }
 
 // TestSentinelErrorsAcrossAlgorithms checks that k validation is uniform:

@@ -17,6 +17,7 @@ func BenchmarkLaunchStreaming(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := make([]int, n)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Launch("stream", n, func(c *Ctx) {
@@ -42,6 +43,7 @@ func BenchmarkLaunchGather(b *testing.B) {
 	for i := range idx {
 		idx[i] = (i * 40503) % n
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Launch("gather", n, func(c *Ctx) {

@@ -86,7 +86,11 @@ type Stats struct {
 }
 
 // NewDevice returns a Device charging machine m and appending phases to tl.
+// It panics when m's GPU has a warp wider than perfmodel.MaxWarpSize or a
+// TransactionBytes that is not a power of two; perfmodel.Machine.Validate
+// reports both as errors.
 func NewDevice(m *perfmodel.Machine, tl *perfmodel.Timeline) *Device {
+	segShift(&m.GPU)
 	return &Device{
 		m:          m,
 		tl:         tl,
@@ -185,7 +189,7 @@ func (s Stats) AtomicSerializationRatio() float64 {
 
 // warpSize is the SIMT width the divergence ratio normalizes against.
 // Every modeled machine uses 32-wide warps (perfmodel.Default and the
-// paper's GTX Titan); the per-warp segSlot arrays hard-code it too.
+// paper's GTX Titan).
 const warpSize = 32
 
 // LaunchObserver receives one callback per kernel launch with that

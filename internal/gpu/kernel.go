@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gpmetis/internal/fault"
 	"gpmetis/internal/obs"
@@ -9,18 +10,22 @@ import (
 )
 
 // Kernel is the body executed by every logical GPU thread of a launch.
+// Launch hands every thread of one launch the same Ctx, reset before each
+// lane, so a kernel must not keep c, or anything pointing into it, after
+// it returns.
 type Kernel func(c *Ctx)
 
 // Ctx is one thread's view of the executing kernel. Kernels call its
 // methods to perform *accounted* memory traffic; plain Go slice access in
-// the kernel body does the actual data movement.
+// the kernel body does the actual data movement. Element indices passed
+// to the accounting methods must be non-negative, as in CUDA.
 type Ctx struct {
 	tid  int
 	lane int
 	ops  int64
 	seq  int
-	w    *warpState
 	acct bool
+	w    warpState
 }
 
 // TID returns the global thread index in [0, nThreads).
@@ -68,12 +73,12 @@ func (c *Ctx) LoadN(a Array, i, n int) {
 	if !c.acct || n <= 0 {
 		return
 	}
-	c.w.accesses += int64(n)
-	segBytes := int64(c.w.segBytes)
-	first := int64(i) * a.elem / segBytes
-	last := (int64(i+n)*a.elem - 1) / segBytes
+	w := &c.w
+	w.accesses += int64(n)
+	first := (int64(i) * a.elem) >> w.segShift
+	last := (int64(i+n)*a.elem - 1) >> w.segShift
 	for s := first; s <= last; s++ {
-		slot := c.w.slot(c.seq)
+		slot := w.slot(c.seq)
 		c.seq++
 		slot.addSeg(a.id<<40 | s)
 	}
@@ -90,10 +95,9 @@ func (c *Ctx) Atomic(a Array, i int) {
 		return
 	}
 	c.w.atomicOps++
-	addr := a.id<<40 | int64(i)
 	s := c.w.slot(c.seq)
 	c.seq++
-	s.addAddr(addr)
+	s.addAddr(a.id<<40 | int64(i))
 }
 
 func (c *Ctx) access(a Array, i int) {
@@ -101,26 +105,35 @@ func (c *Ctx) access(a Array, i int) {
 	if !c.acct {
 		return
 	}
-	c.w.accesses++
-	seg := a.id<<40 | int64(i)*a.elem/int64(c.w.segBytes)
-	s := c.w.slot(c.seq)
+	w := &c.w
+	w.accesses++
+	s := w.slot(c.seq)
 	c.seq++
-	s.addSeg(seg)
+	s.addSeg(a.id<<40 | (int64(i)*a.elem)>>w.segShift)
 }
 
 // segSlot tracks, for one per-thread access index within one warp, the
 // distinct memory segments touched (for coalescing) and the per-address
-// atomic multiplicities (for serialization). A warp has at most WarpSize
-// lanes, so fixed-size arrays suffice.
+// atomic multiplicities (for serialization). Each lane adds at most one
+// segment to a slot and a warp has at most perfmodel.MaxWarpSize lanes,
+// so fixed-size arrays suffice.
 type segSlot struct {
 	n      int
 	atomic bool
-	segs   [32]int64
-	count  [32]int32
+	segs   [perfmodel.MaxWarpSize]int64
+	count  [perfmodel.MaxWarpSize]int32
 }
 
 func (s *segSlot) addSeg(seg int64) {
-	for i := 0; i < s.n; i++ {
+	// Coalesced lanes hit the segment the previous lane appended, so it
+	// is checked first; segments in a slot are distinct, so the order of
+	// the checks cannot change which entry matches.
+	last := s.n - 1
+	if last >= 0 && s.segs[last] == seg {
+		s.count[last]++
+		return
+	}
+	for i := 0; i < last; i++ {
 		if s.segs[i] == seg {
 			s.count[i]++
 			return
@@ -153,7 +166,7 @@ func (s *segSlot) maxCount() int64 {
 type warpState struct {
 	slots     []segSlot
 	used      int
-	segBytes  int
+	segShift  uint // log2(TransactionBytes): byte offset -> segment
 	accesses  int64
 	atomicOps int64
 }
@@ -163,7 +176,10 @@ func (w *warpState) slot(seq int) *segSlot {
 		if w.used == len(w.slots) {
 			w.slots = append(w.slots, segSlot{})
 		} else {
-			w.slots[w.used] = segSlot{}
+			// Entries past n are never read, so a reused slot only
+			// needs its header cleared.
+			s := &w.slots[w.used]
+			s.n, s.atomic = 0, false
 		}
 		w.used++
 	}
@@ -174,6 +190,21 @@ func (w *warpState) reset() {
 	w.used = 0
 	w.accesses = 0
 	w.atomicOps = 0
+}
+
+// segShift checks the GPU geometry the warp model can represent and
+// returns log2(TransactionBytes), the shift that maps a byte offset to
+// its coalescing segment. TransactionBytes must be a power of two and
+// WarpSize in [1, perfmodel.MaxWarpSize], the rules
+// perfmodel.Machine.Validate enforces; any other machine panics.
+func segShift(g *perfmodel.GPUParams) uint {
+	if tb := g.TransactionBytes; tb <= 0 || tb&(tb-1) != 0 {
+		panic(fmt.Sprintf("gpu: TransactionBytes %d is not a positive power of two", tb))
+	}
+	if g.WarpSize < 1 || g.WarpSize > perfmodel.MaxWarpSize {
+		panic(fmt.Sprintf("gpu: WarpSize %d outside [1, %d]", g.WarpSize, perfmodel.MaxWarpSize))
+	}
+	return uint(bits.TrailingZeros(uint(g.TransactionBytes)))
 }
 
 // Launch executes kernel k for nThreads logical threads, charges the
@@ -194,7 +225,11 @@ func (d *Device) Launch(name string, nThreads int, k Kernel) float64 {
 		d.preflight(fault.SiteKernel, name, perfmodel.LocGPU, d.m.GPU.LaunchSec)
 	}
 	ws := d.m.GPU.WarpSize
-	w := warpState{segBytes: d.m.GPU.TransactionBytes}
+	// One Ctx, and the warp state inside it, serves every thread of the
+	// launch (see Kernel): no per-thread allocation.
+	c := &Ctx{acct: d.Accounting}
+	c.w.segShift = segShift(&d.m.GPU)
+	w := &c.w
 	var warpInstr, laneInstr, transactions, atomicSerial, accesses, atomicOps int64
 	var maxWarpInstr int64
 
@@ -202,8 +237,8 @@ func (d *Device) Launch(name string, nThreads int, k Kernel) float64 {
 		w.reset()
 		var warpMaxOps int64
 		for lane := 0; lane < ws && base+lane < nThreads; lane++ {
-			c := Ctx{tid: base + lane, lane: lane, w: &w, acct: d.Accounting}
-			k(&c)
+			c.tid, c.lane, c.ops, c.seq = base+lane, lane, 0, 0
+			k(c)
 			laneInstr += c.ops
 			if c.ops > warpMaxOps {
 				warpMaxOps = c.ops

@@ -7,12 +7,17 @@ import "fmt"
 // subgraph vertex back to its original id. Edges to vertices outside the
 // selection are dropped.
 func InducedSubgraph(g *Graph, vs []int) (*Graph, []int, error) {
-	inv := make(map[int]int, len(vs))
+	// inv[v] = subgraph id of original vertex v, or -1 when v is not
+	// selected.
+	inv := make([]int, g.NumVertices())
+	for i := range inv {
+		inv[i] = -1
+	}
 	for i, v := range vs {
-		if v < 0 || v >= g.NumVertices() {
+		if v < 0 || v >= len(inv) {
 			return nil, nil, fmt.Errorf("graph: InducedSubgraph: vertex %d out of range", v)
 		}
-		if _, dup := inv[v]; dup {
+		if inv[v] >= 0 {
 			return nil, nil, fmt.Errorf("graph: InducedSubgraph: duplicate vertex %d", v)
 		}
 		inv[v] = i
@@ -26,7 +31,7 @@ func InducedSubgraph(g *Graph, vs []int) (*Graph, []int, error) {
 		sub.VWgt[i] = g.VWgt[v]
 		adj, wgt := g.Neighbors(v)
 		for j, u := range adj {
-			if iu, ok := inv[u]; ok {
+			if iu := inv[u]; iu >= 0 {
 				adjncy = append(adjncy, iu)
 				wgts = append(wgts, wgt[j])
 			}

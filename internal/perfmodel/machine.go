@@ -140,8 +140,14 @@ func Default() *Machine {
 	}
 }
 
+// MaxWarpSize is the widest warp the GPU simulator models: its per-warp
+// coalescing state holds one segment per lane for at most this many lanes.
+const MaxWarpSize = 32
+
 // Validate reports an error when a Machine has non-positive parameters that
-// would make modeled times meaningless (zero clocks, zero bandwidth, ...).
+// would make modeled times meaningless (zero clocks, zero bandwidth, ...),
+// or a GPU geometry the simulator cannot account: a warp wider than
+// MaxWarpSize, or a TransactionBytes that is not a power of two.
 func (m *Machine) Validate() error {
 	switch {
 	case m.CPU.Cores <= 0:
@@ -154,6 +160,10 @@ func (m *Machine) Validate() error {
 		return fmt.Errorf("perfmodel: GPU geometry must be positive")
 	case m.GPU.ClockHz <= 0 || m.GPU.MemBytesPerSec <= 0 || m.GPU.TransactionBytes <= 0:
 		return fmt.Errorf("perfmodel: GPU clock/memory parameters must be positive")
+	case m.GPU.WarpSize > MaxWarpSize:
+		return fmt.Errorf("perfmodel: GPU.WarpSize %d exceeds the simulator's %d lanes", m.GPU.WarpSize, MaxWarpSize)
+	case m.GPU.TransactionBytes&(m.GPU.TransactionBytes-1) != 0:
+		return fmt.Errorf("perfmodel: GPU.TransactionBytes %d must be a power of two", m.GPU.TransactionBytes)
 	case m.GPU.GlobalMemBytes <= 0:
 		return fmt.Errorf("perfmodel: GPU.GlobalMemBytes must be positive")
 	case m.PCIe.BytesPerSec <= 0:

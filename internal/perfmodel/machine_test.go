@@ -30,6 +30,8 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		{"zero gpu clock", func(m *Machine) { m.GPU.ClockHz = 0 }},
 		{"zero gpu mem bw", func(m *Machine) { m.GPU.MemBytesPerSec = 0 }},
 		{"zero transaction", func(m *Machine) { m.GPU.TransactionBytes = 0 }},
+		{"transaction not a power of two", func(m *Machine) { m.GPU.TransactionBytes = 96 }},
+		{"warp wider than the simulator", func(m *Machine) { m.GPU.WarpSize = 64 }},
 		{"zero gpu mem", func(m *Machine) { m.GPU.GlobalMemBytes = 0 }},
 		{"zero pcie bw", func(m *Machine) { m.PCIe.BytesPerSec = 0 }},
 		{"zero net bw", func(m *Machine) { m.Net.BytesPerSec = 0 }},
@@ -39,6 +41,21 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		tc.mutate(m)
 		if err := m.Validate(); err == nil {
 			t.Errorf("%s: Validate() should fail", tc.name)
+		}
+	}
+}
+
+// TestValidateAcceptsModeledGeometry checks the GPU geometries the
+// simulator can account: any warp up to MaxWarpSize lanes and any
+// power-of-two transaction size.
+func TestValidateAcceptsModeledGeometry(t *testing.T) {
+	for _, warp := range []int{1, 7, 16, MaxWarpSize} {
+		for _, tx := range []int{1, 32, 64, 128, 256} {
+			m := Default()
+			m.GPU.WarpSize, m.GPU.TransactionBytes = warp, tx
+			if err := m.Validate(); err != nil {
+				t.Errorf("WarpSize %d, TransactionBytes %d: %v", warp, tx, err)
+			}
 		}
 	}
 }

@@ -286,6 +286,7 @@ type Options struct {
 	// UBFactor is the allowed imbalance; 0 means the paper's 1.03.
 	UBFactor float64
 	// Machine overrides the modeled system; nil means DefaultMachine().
+	// A machine that fails Machine.Validate is rejected with ErrBadOption.
 	Machine *Machine
 	// Advanced knobs; zero values take each partitioner's defaults.
 	GPUThreshold int                // GP-metis: CPU handoff size
@@ -396,6 +397,9 @@ func Partition(g *Graph, k int, o Options) (*Result, error) {
 	m := o.Machine
 	if m == nil {
 		m = DefaultMachine()
+	}
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: Machine: %w", ErrBadOption, err)
 	}
 	seed := o.Seed
 	if seed == 0 {
