@@ -40,9 +40,9 @@
 //	replication: a 4-node RF=2 ring replicates completed results; a
 //	        kill storm (one node at a time, process and cache both)
 //	        must lose no replicated entry — survivors serve every
-//	        digest bit-identically at zero partition cost, pushes to
-//	        the dead node become hints, and after restart the hint
-//	        backlog drains to zero and rejoin catch-up restores the
+//	        digest bit-identically at zero partition cost, a
+//	        completion the dead node misses is cached on the surviving
+//	        set member, and after restart Rejoin alone restores the
 //	        node's full replica duty.
 package main
 

@@ -1,11 +1,12 @@
 package main
 
 import (
-	"encoding/json"
+	"bufio"
 	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -21,13 +22,12 @@ import (
 //   - with any one node dead (up to R−1), every digest that finished
 //     replicating is still served — bit-identical and at zero modeled
 //     partition cost — by the survivors;
-//   - a completion whose replica target is down becomes a handoff hint,
-//     and hints_outstanding drains to zero once the peer is back;
+//   - a completion whose replica target is down is still cached on the
+//     surviving member of its replica set;
 //   - a killed node loses its process AND its cache; after restart,
-//     rejoin catch-up plus hint drains restore its full replica duty,
-//     so the next kill of a different node still loses nothing;
-//   - all replica, handoff, and repair traffic lands in the ring's
-//     modeled network accounting.
+//     its Rejoin catch-up (one anti-entropy sweep) alone restores its
+//     full replica duty, including the completions it missed while
+//     dead, so the next kill of a different node still loses nothing.
 func chaosReplication(rng *rand.Rand) error {
 	const nNodes = 4
 	lns := make([]net.Listener, nNodes)
@@ -102,33 +102,19 @@ func chaosReplication(rng *rand.Rand) error {
 		}
 		return true
 	}
-	hintsOutstanding := func() int64 {
-		var total int64
-		for _, m := range members {
-			total += m.node.HintsOutstanding()
-		}
-		return total
-	}
 	liveModeledSeconds := func() (float64, error) {
 		total := 0.0
 		for _, m := range members {
 			if !m.alive {
 				continue
 			}
-			v, err := ringCounterValue(m.base(), "modeled.seconds")
+			v, err := ringGaugeValue(m.base(), "gpmetisd_modeled_seconds")
 			if err != nil {
 				return 0, fmt.Errorf("node %d metrics: %w", m.peer.ID, err)
 			}
 			total += v
 		}
 		return total, nil
-	}
-	netModeled := func() float64 {
-		total := 0.0
-		for _, m := range members {
-			total += m.node.Status().NetModeledSeconds
-		}
-		return total
 	}
 
 	// Phase 1: distinct jobs complete and replicate fully.
@@ -173,9 +159,10 @@ func chaosReplication(rng *rand.Rand) error {
 		}
 		e.res = res
 	}
-	netAfterPhase1 := netModeled()
-	if netAfterPhase1 <= 0 {
-		return fmt.Errorf("replication charged no modeled network time")
+	// Every member is alive and phase 1 ran real jobs, so a zero here
+	// means the exposition lost the series the rounds below compare.
+	if ran, err := liveModeledSeconds(); err != nil || ran <= 0 {
+		return fmt.Errorf("phase 1 shows %v modeled partition seconds on /metrics (err %v)", ran, err)
 	}
 
 	rounds := 1 + rng.Intn(2)
@@ -234,11 +221,11 @@ func chaosReplication(rng *rand.Rand) error {
 				round, modeledAfter-modeledBefore)
 		}
 
-		// A completion whose replica set includes the dead node leaves a
-		// hint on the surviving set member.
-		var hintReq server.SubmitRequest
-		var hintKey string
-		var hinter *ringMember
+		// A completion whose replica set includes the dead node is cached
+		// on the surviving set member; the dead one misses its replica.
+		var baitReq server.SubmitRequest
+		var baitKey string
+		var survivor *ringMember
 		for seed := int64(1000 * (round + 1)); ; seed++ {
 			req := server.SubmitRequest{Graph: texts[0], K: 3, Seed: seed}
 			keyReq := req
@@ -248,38 +235,37 @@ func chaosReplication(rng *rand.Rand) error {
 			}
 			set := replicaSet(key)
 			if set[0] == victim {
-				hintReq, hintKey, hinter = req, key, set[1]
+				baitReq, baitKey, survivor = req, key, set[1]
 				break
 			}
 			if set[1] == victim {
-				hintReq, hintKey, hinter = req, key, set[0]
+				baitReq, baitKey, survivor = req, key, set[0]
 				break
 			}
 		}
-		st, code, err := ringSubmit(hinter.base(), hintReq)
+		st, code, err := ringSubmit(survivor.base(), baitReq)
 		if err != nil || code >= 400 {
-			return fmt.Errorf("round %d: hint-bait submit: code=%d err=%v", round, code, err)
+			return fmt.Errorf("round %d: bait submit: code=%d err=%v", round, code, err)
 		}
 		if st.status.State != server.StateDone {
-			if _, err := ringAwait(hinter.base(), st.status.ID); err != nil {
-				return fmt.Errorf("round %d: hint-bait job: %w", round, err)
+			if _, err := ringAwait(survivor.base(), st.status.ID); err != nil {
+				return fmt.Errorf("round %d: bait job: %w", round, err)
 			}
 		}
+		var baitRes *server.JobResult
 		if err := waitChaos(10*time.Second, func() bool {
-			return hinter.node.HintsOutstanding() >= 1
+			var ok bool
+			baitRes, ok = survivor.srv.PeekCached(baitKey)
+			return ok
 		}); err != nil {
-			return fmt.Errorf("round %d: push to the dead node %d never became a hint on node %d: %w",
-				round, victim.peer.ID, hinter.peer.ID, err)
+			return fmt.Errorf("round %d: bait digest %.12s never cached on the surviving set member %d: %w",
+				round, baitKey, survivor.peer.ID, err)
 		}
-		hintRes, ok := hinter.srv.PeekCached(hintKey)
-		if !ok {
-			return fmt.Errorf("round %d: hint-bait result missing from node %d's cache", round, hinter.peer.ID)
-		}
-		entries = append(entries, entry{req: hintReq, key: hintKey, res: hintRes})
+		entries = append(entries, entry{req: baitReq, key: baitKey, res: baitRes})
 
 		// Restart the victim from nothing and bring it back to full
-		// replica duty: rejoin catch-up pulls what it owns, reinstatement
-		// drains deliver the hints, and the outstanding gauge hits zero.
+		// replica duty through Rejoin alone: its catch-up sweep pulls
+		// every entry it should hold, the bait it missed included.
 		ln := relistenChaos(victim.peer.Addr)
 		if ln == nil {
 			return fmt.Errorf("round %d: cannot rebind %s", round, victim.peer.Addr)
@@ -291,14 +277,6 @@ func chaosReplication(rng *rand.Rand) error {
 		members[victim.peer.ID] = fresh
 		if err := waitChaos(20*time.Second, func() bool {
 			fresh.node.Rejoin()
-			for _, m := range members {
-				if m.alive {
-					m.node.DrainHintsNow()
-				}
-			}
-			if hintsOutstanding() != 0 {
-				return false
-			}
 			for _, e := range entries {
 				if !fullyReplicated(e.key) {
 					return false
@@ -306,18 +284,13 @@ func chaosReplication(rng *rand.Rand) error {
 			}
 			return true
 		}); err != nil {
-			return fmt.Errorf("round %d: node %d never recovered full replica duty (hints=%d): %w",
-				round, fresh.peer.ID, hintsOutstanding(), err)
+			return fmt.Errorf("round %d: node %d not fully replicated after Rejoin: %w",
+				round, fresh.peer.ID, err)
 		}
 		if verbose {
-			fmt.Printf("chaos: replication round %d: node %d rejoined, %d digests intact, hints drained\n",
+			fmt.Printf("chaos: replication round %d: node %d rejoined, %d digests fully replicated\n",
 				round, fresh.peer.ID, len(entries))
 		}
-	}
-
-	if net := netModeled(); net <= netAfterPhase1 {
-		return fmt.Errorf("handoff/repair traffic charged no modeled network time (%.9f -> %.9f)",
-			netAfterPhase1, net)
 	}
 	return nil
 }
@@ -350,18 +323,19 @@ func relistenChaos(addr string) net.Listener {
 	}
 }
 
-// ringCounterValue reads one counter from a node's /metrics.json.
-func ringCounterValue(base, name string) (float64, error) {
-	resp, err := http.Get(base + "/metrics.json")
+// ringGaugeValue reads one unlabeled series from a node's /metrics
+// exposition; a series not yet registered reads as 0.
+func ringGaugeValue(base, name string) (float64, error) {
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	var out struct {
-		Counters map[string]float64 `json:"counters"`
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), name+" "); ok {
+			return strconv.ParseFloat(v, 64)
+		}
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, err
-	}
-	return out.Counters[name], nil
+	return 0, sc.Err()
 }

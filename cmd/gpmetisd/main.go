@@ -18,7 +18,7 @@
 //	         [-brownout-slow-window 90s] [-brownout-off] \
 //	         [-debug-addr 127.0.0.1:6060] \
 //	         [-peers peers.json -node-id 0] [-vnodes 64] [-cluster-probe 1s] \
-//	         [-replicas 2] [-anti-entropy 5s] [-hint-dir hints/]
+//	         [-replicas 2] [-anti-entropy 5s]
 //
 // API:
 //
@@ -40,7 +40,6 @@
 //	GET    /metrics         Prometheus text exposition: queue depth, wait
 //	                        and latency histograms, cache hit rate, jobs
 //	                        by outcome, per-slot utilization, build info
-//	GET    /metrics.json    the same counters as flat JSON
 //	GET    /healthz         liveness, occupancy, SLO posture, build info
 //	GET    /slo             SLO evaluation: burn rates over both windows
 //	GET    /admin/status    live ops view (self-refreshing HTML); the
@@ -106,12 +105,11 @@
 // Ring durability (DESIGN.md §15): -replicas R (default 2) pushes every
 // freshly completed result to the next R−1 ring successors, so a dead
 // owner's cached work is served bit-identically from a replica instead
-// of recomputed. Pushes to quarantined peers become handoff hints
-// (persisted under -hint-dir when set) and drain when the peer
-// reinstates; a background anti-entropy sweep (-anti-entropy, negative
-// to disable) exchanges digest summaries and repairs divergence. On
-// startup a ring member announces itself and pulls the entries it now
-// owns (rejoin catch-up). POST /admin/decommission retires a node
+// of recomputed. A background anti-entropy sweep (-anti-entropy,
+// negative to disable) exchanges digest summaries and repairs
+// divergence, including pushes that missed a down replica; on startup a
+// ring member announces itself and pulls the entries it now owns
+// (rejoin catch-up). POST /admin/decommission retires a node
 // safely: it pushes its cache to the shrunk ring's owners, announces
 // departure to every peer, then drains and exits exactly as on SIGTERM;
 // POST /admin/rejoin re-announces and re-runs catch-up on demand.
@@ -126,7 +124,7 @@
 // fans out to every live peer and renders the whole fleet on one page
 // (gpmetis -top -cluster is the terminal flavor), and per-peer RPC
 // latency/error histograms appear as gpmetisd_cluster_rpc_* on
-// /metrics alongside the modeled α+βn network charge.
+// /metrics.
 //
 // -debug-addr starts a second listener serving net/http/pprof under
 // /debug/pprof/ (goroutine dumps, heap and CPU profiles of the daemon
@@ -186,7 +184,6 @@ func main() {
 	clusterProbe := flag.Duration("cluster-probe", 0, "peer health-probe interval (0 = default 1s)")
 	replicas := flag.Int("replicas", 0, "cluster replication factor (0 = default 2, 1 disables replication)")
 	antiEntropy := flag.Duration("anti-entropy", 0, "anti-entropy repair sweep interval (0 = default 5s, negative disables)")
-	hintDir := flag.String("hint-dir", "", "directory persisting handoff hints across restarts (empty = memory only)")
 	flag.Parse()
 
 	level, err := obs.ParseLogLevel(*logLevel)
@@ -280,7 +277,6 @@ func main() {
 			Logger:              logger,
 			Replicas:            *replicas,
 			AntiEntropyInterval: *antiEntropy,
-			HintDir:             *hintDir,
 			OnDecommission: func() {
 				select {
 				case decommissioned <- struct{}{}:

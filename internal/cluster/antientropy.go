@@ -21,7 +21,8 @@ import (
 // peer). Ranges whose {count, hash} disagree come back with the peer's
 // digest list; the requester then pushes what the peer misses and pulls
 // what it misses itself — so divergence left by crashes, evictions, or
-// lost hints heals without any coordination beyond the shared ring.
+// pushes that missed a down replica heals without any coordination
+// beyond the shared ring.
 
 // rangeSummary is one vnode range's digest fingerprint: how many
 // relevant entries fall in it and a hash over their sorted digests.
@@ -110,9 +111,7 @@ func digestSetHash(digests []string) string {
 	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
-// syncWith runs one summary exchange + repair against a peer. Both legs
-// of the exchange and every repair transfer are charged to the modeled
-// network (inside pushEntry/peekRemote for the transfers). The whole
+// syncWith runs one summary exchange + repair against a peer. The whole
 // pairwise round — the exchange plus its repairs — shares one trace id,
 // recorded as spans in the node's span store and stamped on the repair
 // event.
@@ -124,7 +123,6 @@ func (n *Node) syncWith(p Peer) {
 	if err != nil {
 		return
 	}
-	n.net.Charge(len(payload))
 	req, err := http.NewRequest(http.MethodPost,
 		"http://"+p.Addr+"/internal/cache/summary", bytes.NewReader(payload))
 	if err != nil {
@@ -145,7 +143,6 @@ func (n *Node) syncWith(p Peer) {
 		n.strikePeer(p, "anti-entropy read: "+err.Error())
 		return
 	}
-	n.net.Charge(len(b))
 	if resp.StatusCode != http.StatusOK {
 		return
 	}
@@ -216,8 +213,8 @@ func (n *Node) repairRanges(ring *Ring, p Peer, local map[int][]string, mismatch
 
 // handleSummary answers a peer's anti-entropy exchange: compute this
 // node's summaries for the same pair, and reply with the full digest
-// lists of every range whose fingerprints disagree. The requester pays
-// the modeled network for both legs and performs the repairs.
+// lists of every range whose fingerprints disagree. The requester
+// performs the repairs.
 func (n *Node) handleSummary(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {

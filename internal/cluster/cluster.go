@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gpmetis"
 	"gpmetis/internal/obs"
 	"gpmetis/internal/server"
 )
@@ -45,9 +44,6 @@ type Config struct {
 	VNodes int
 	// Server is the local serving subsystem this node routes into.
 	Server *server.Server
-	// Machine supplies the α+βn network parameters inter-node traffic is
-	// charged against; nil means gpmetis.DefaultMachine().
-	Machine *gpmetis.Machine
 	// ProbeInterval is the health-probe cadence (0 means
 	// DefaultProbeInterval; < 0 disables the prober, for tests that drive
 	// health by hand).
@@ -69,9 +65,6 @@ type Config struct {
 	// (0 means DefaultAntiEntropyInterval; < 0 disables the loop, for
 	// tests that call AntiEntropyNow by hand).
 	AntiEntropyInterval time.Duration
-	// HintDir, when non-empty, persists handoff hints as one JSONL file
-	// per peer, so hints survive a restart of the hinting node.
-	HintDir string
 	// OnDecommission, when non-nil, is invoked (once, asynchronously)
 	// after POST /admin/decommission has pushed this node's cache to its
 	// new owners and announced departure — the daemon hooks its graceful
@@ -83,13 +76,11 @@ type Config struct {
 // handler, owning every submission whose digest hashes to it and
 // routing the rest — peek the owner's cache first, forward on a miss,
 // fail over to the next live ring successor when the owner is down.
-// All inter-node traffic is charged against the modeled network.
 type Node struct {
 	cfg    Config
 	self   Peer
 	srv    *server.Server
 	inner  http.Handler
-	net    *NetModel
 	log    *slog.Logger
 	client *http.Client
 	probe  *http.Client
@@ -115,10 +106,9 @@ type Node struct {
 	forwarded map[string]fwdInfo // job ID -> owning peer + trace context
 	fwdOrder  []string
 
-	hints *hintTable
-	repl  chan replTask
+	repl chan replTask
 
-	// spans holds background-round traces (replication, handoff, repair,
+	// spans holds background-round traces (replication, repair,
 	// decommission) for GET /internal/trace/{trace_id}; rpc aggregates
 	// per-peer × per-RPC-type real-wall latency and errors; spanSeq mints
 	// node-unique cluster-side span ids.
@@ -133,8 +123,6 @@ type Node struct {
 	replicaPushes atomic.Int64
 	replicaStores atomic.Int64
 	replicaHits   atomic.Int64
-	handoffHinted atomic.Int64
-	handoffDrain  atomic.Int64
 	repairPushed  atomic.Int64
 	repairPulled  atomic.Int64
 
@@ -193,13 +181,11 @@ func New(cfg Config) (*Node, error) {
 		peersAll:  ring.Peers(),
 		departed:  map[int]bool{},
 		srv:       cfg.Server,
-		net:       NewNetModel(cfg.Machine),
 		log:       cfg.Logger.With("node_id", self.ID),
 		client:    cfg.Client,
 		probe:     &http.Client{Timeout: 2 * time.Second},
 		health:    map[int]*nodeHealth{},
 		forwarded: map[string]fwdInfo{},
-		hints:     newHintTable(cfg.HintDir),
 		repl:      make(chan replTask, 256),
 		spans:     obs.NewSpanStore(0),
 		rpc:       newRPCMetrics(),
@@ -214,9 +200,6 @@ func New(cfg Config) (*Node, error) {
 				n.rpc.declare(p.ID, rpc)
 			}
 		}
-	}
-	if err := n.hints.load(); err != nil {
-		n.log.Warn("hint journal load failed; starting with empty hints", "error", err.Error())
 	}
 	n.srv.SetNodeID(fmt.Sprintf("%d", self.ID))
 	n.srv.SetClusterStatus(n.Status)
@@ -238,10 +221,9 @@ func New(cfg Config) (*Node, error) {
 }
 
 // Close stops every background goroutine the node owns — the health
-// prober, the replicator, the anti-entropy sweep, and any in-flight
-// hint drains — and uninstalls the server hooks. The wrapped handler
-// keeps serving (the server owns its own shutdown); routing continues
-// with frozen health.
+// prober, the replicator, and the anti-entropy sweep — and uninstalls
+// the server hooks. The wrapped handler keeps serving (the server owns
+// its own shutdown); routing continues with frozen health.
 func (n *Node) Close() {
 	n.closeOnce.Do(func() {
 		n.srv.SetResultHook(nil)
@@ -270,6 +252,13 @@ func (n *Node) peerHealth(id int) *nodeHealth {
 	return n.health[id]
 }
 
+// peerIsDown reports the health verdict for p (false for self and
+// unknown peers).
+func (n *Node) peerIsDown(p Peer) bool {
+	h := n.peerHealth(p.ID)
+	return h != nil && h.down()
+}
+
 // otherPeers snapshots the configured members other than self that have
 // not announced departure — the probe, replication, and repair targets.
 func (n *Node) otherPeers() []Peer {
@@ -288,23 +277,18 @@ func (n *Node) otherPeers() []Peer {
 // server's /healthz, ops view, and cluster metric series.
 func (n *Node) Status() *server.ClusterStatus {
 	cs := &server.ClusterStatus{
-		NodeID:            n.self.ID,
-		Addr:              n.self.Addr,
-		Forwards:          n.forwards.Load(),
-		PeekHits:          n.peekHits.Load(),
-		PeekMisses:        n.peekMisses.Load(),
-		Failovers:         n.failovers.Load(),
-		NetModeledSeconds: n.net.Seconds(),
-		NetMessages:       n.net.Messages(),
-		Replicas:          n.cfg.Replicas,
-		ReplicaPushes:     n.replicaPushes.Load(),
-		ReplicaStores:     n.replicaStores.Load(),
-		ReplicaHits:       n.replicaHits.Load(),
-		HandoffHinted:     n.handoffHinted.Load(),
-		HandoffDrained:    n.handoffDrain.Load(),
-		HintsOutstanding:  n.hints.outstanding(),
-		RepairPushed:      n.repairPushed.Load(),
-		RepairPulled:      n.repairPulled.Load(),
+		NodeID:        n.self.ID,
+		Addr:          n.self.Addr,
+		Forwards:      n.forwards.Load(),
+		PeekHits:      n.peekHits.Load(),
+		PeekMisses:    n.peekMisses.Load(),
+		Failovers:     n.failovers.Load(),
+		Replicas:      n.cfg.Replicas,
+		ReplicaPushes: n.replicaPushes.Load(),
+		ReplicaStores: n.replicaStores.Load(),
+		ReplicaHits:   n.replicaHits.Load(),
+		RepairPushed:  n.repairPushed.Load(),
+		RepairPulled:  n.repairPulled.Load(),
 	}
 	n.ringMu.RLock()
 	cs.VNodes = n.ring.VNodes()
@@ -325,7 +309,7 @@ func (n *Node) Status() *server.ClusterStatus {
 // Handler wraps the server's HTTP API with the ring's routing layer:
 //
 //	GET  /internal/cache/{digest}  cross-node cache peek (200 result, 404)
-//	PUT  /internal/cache/{digest}  replica store (replication, handoff, repair)
+//	PUT  /internal/cache/{digest}  replica store (replication, repair, decommission)
 //	POST /internal/cache/summary   anti-entropy digest-summary exchange
 //	GET  /internal/trace/{trace_id} this node's spans under a trace (stitching)
 //	POST /internal/ring/leave      a member announced its departure
@@ -361,8 +345,8 @@ func (n *Node) Handler(inner http.Handler) http.Handler {
 }
 
 // handlePeek answers a peer's cache probe from the local cache, without
-// touching hit/miss accounting (Cache.Peek): the requester pays the
-// modeled network cost and keeps the peek statistics.
+// touching hit/miss accounting (Cache.Peek): the requester keeps the
+// peek statistics.
 func (n *Node) handlePeek(w http.ResponseWriter, r *http.Request) {
 	res, ok := n.srv.PeekCached(r.PathValue("digest"))
 	if !ok {
@@ -430,7 +414,7 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			n.serveLocal(w, r, body)
 			return
 		}
-		if h := n.peerHealth(p.ID); h != nil && h.down() {
+		if n.peerIsDown(p) {
 			continue
 		}
 		res, found, peekErr := n.peekRemote(p, key, traceID)
@@ -506,12 +490,10 @@ func (n *Node) patchStatusBody(status int, out []byte) []byte {
 	return append(b, '\n')
 }
 
-// peekRemote asks peer whether it already caches digest. Both legs of
-// the probe are charged against the modeled network; the real wall cost
+// peekRemote asks peer whether it already caches digest. The wall cost
 // lands in the per-peer rpc histograms, and the routed submission's
 // trace id rides the header.
 func (n *Node) peekRemote(p Peer, digest, traceID string) (*server.JobResult, bool, error) {
-	n.net.Charge(len(digest))
 	req, err := http.NewRequest(http.MethodGet, "http://"+p.Addr+"/internal/cache/"+digest, nil)
 	if err != nil {
 		return nil, false, err
@@ -525,7 +507,6 @@ func (n *Node) peekRemote(p Peer, digest, traceID string) (*server.JobResult, bo
 	if err != nil {
 		return nil, false, err
 	}
-	n.net.Charge(len(b))
 	if resp.StatusCode == http.StatusNotFound {
 		return nil, false, nil
 	}
@@ -540,11 +521,9 @@ func (n *Node) peekRemote(p Peer, digest, traceID string) (*server.JobResult, bo
 }
 
 // forward ships the submission to peer with the forwarding envelope set:
-// ForwardedBy pins the job there, ForwardNetSeconds carries the request
-// leg's modeled cost into the job's lifecycle trace, and the trace
-// fields (mirrored in the X-Gpmetis-Trace header) make the remote job
-// adopt this entry node's trace id and parent its spans under the
-// forward span minted here. The returned fwdInfo is what the stitcher
+// ForwardedBy pins the job there, and the trace fields (mirrored in the
+// X-Gpmetis-Trace header) make the remote job adopt this entry node's
+// trace id and parent its spans under the forward span minted here. The returned fwdInfo is what the stitcher
 // needs later: the owner, the trace context, and the measured RTT.
 func (n *Node) forward(p Peer, req server.SubmitRequest, key, traceID string) (int, []byte, fwdInfo, error) {
 	fi := fwdInfo{
@@ -558,14 +537,6 @@ func (n *Node) forward(p Peer, req server.SubmitRequest, key, traceID string) (i
 	req.ForwardSpanID = fi.spanID
 	req.ForwardWallUnixNano = fi.sentAt.UnixNano()
 	payload, err := json.Marshal(&req)
-	if err != nil {
-		return 0, nil, fi, err
-	}
-	req.ForwardNetSeconds = n.net.Charge(len(payload))
-	fi.netSeconds = req.ForwardNetSeconds
-	// Re-marshal with the charge embedded; the size delta is noise next to
-	// the graph text that dominates the payload.
-	payload, err = json.Marshal(&req)
 	if err != nil {
 		return 0, nil, fi, err
 	}
@@ -585,7 +556,6 @@ func (n *Node) forward(p Peer, req server.SubmitRequest, key, traceID string) (i
 	if err != nil {
 		return 0, nil, fi, err
 	}
-	n.net.Charge(len(b))
 	return resp.StatusCode, b, fi, nil
 }
 
@@ -607,10 +577,10 @@ func (n *Node) rememberForward(id string, fi fwdInfo) {
 }
 
 // proxyOrLocal serves job lookups: jobs this node forwarded are fetched
-// from their owner (the modeled network pays for both legs), everything
-// else is local. A forwarded job's trace request is special: instead of
-// relaying the owner's document verbatim, the entry node stitches its
-// own forward span and the owner's spans into one multi-process trace.
+// from their owner, everything else is local. A forwarded job's trace
+// request is special: instead of relaying the owner's document verbatim,
+// the entry node stitches its own forward span and the owner's spans
+// into one multi-process trace.
 func (n *Node) proxyOrLocal(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	n.mu.Lock()
@@ -632,7 +602,6 @@ func (n *Node) proxyOrLocal(w http.ResponseWriter, r *http.Request) {
 		// Stitching failed (owner unreachable, trace evicted); fall back
 		// to the plain proxy so the client still gets the owner's view.
 	}
-	n.net.Charge(len(r.URL.Path))
 	req2, err := http.NewRequestWithContext(r.Context(), r.Method, "http://"+p.Addr+r.URL.Path, nil)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError,
@@ -658,7 +627,6 @@ func (n *Node) proxyOrLocal(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	n.net.Charge(len(b))
 	n.clearStrikes(p)
 	relay(w, resp.StatusCode, b)
 }
@@ -697,8 +665,7 @@ func (n *Node) clearStrikes(p Peer) {
 
 // probeLoop checks every peer's /healthz at the configured cadence.
 // Probes of down peers count toward their reinstatement budget; probes
-// of up peers clear or accumulate strikes. Each probe is charged to the
-// modeled network like any other message.
+// of up peers clear or accumulate strikes.
 func (n *Node) probeLoop() {
 	defer n.wg.Done()
 	t := time.NewTicker(n.cfg.ProbeInterval)
@@ -722,7 +689,6 @@ func (n *Node) probePeer(p Peer) {
 	if h == nil {
 		return
 	}
-	n.net.Charge(0)
 	var resp *http.Response
 	req, err := http.NewRequest(http.MethodGet, "http://"+p.Addr+"/healthz", nil)
 	if err == nil {
@@ -732,16 +698,14 @@ func (n *Node) probePeer(p Peer) {
 	}
 	ok := err == nil && resp.StatusCode == http.StatusOK
 	if resp != nil {
-		b, _ := io.ReadAll(resp.Body)
+		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		n.net.Charge(len(b))
 	}
 	wasDown := h.down()
 	if ok {
 		if h.probeResult(true) {
 			n.srv.RecordEvent(obs.EvNodeUp, fmt.Sprintf("node %d (%s) reinstated", p.ID, p.Addr))
 			n.log.Info("peer reinstated", "peer", p.ID, "addr", p.Addr)
-			n.spawnDrain(p)
 		}
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -146,22 +147,31 @@ func clusterPoll(t *testing.T, base, id string) server.JobStatus {
 	}
 }
 
+// clusterCounters scrapes a node's /metrics and returns its unlabeled
+// gpmetisd_* series keyed by name without the prefix ("jobs_completed").
+// Registry counters appear only once touched, so an absent key reads 0.
 func clusterCounters(t *testing.T, base string) map[string]float64 {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
+	out := map[string]float64{}
+	for _, line := range strings.Split(scrapeMetrics(t, base), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") || strings.Contains(name, "{") {
+			continue
+		}
+		name, ok = strings.CutPrefix(name, "gpmetisd_")
+		if !ok {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("unparseable sample %q: %v", line, err)
+		}
+		out[name] = v
 	}
-	defer resp.Body.Close()
-	var out struct {
-		Counters map[string]float64 `json:"counters"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	return out.Counters
+	return out
 }
 
+// sumCounter adds one clusterCounters series across ring members.
 func sumCounter(t *testing.T, nodes []*ringNode, name string) float64 {
 	t.Helper()
 	total := 0.0
@@ -225,7 +235,7 @@ func TestClusterRoutesToOneOwner(t *testing.T) {
 		}
 	}
 
-	modeledBefore := sumCounter(t, nodes, "modeled.seconds")
+	modeledBefore := sumCounter(t, nodes, "modeled_seconds")
 	if modeledBefore <= 0 {
 		t.Fatal("the first run must accumulate modeled seconds")
 	}
@@ -243,10 +253,6 @@ func TestClusterRoutesToOneOwner(t *testing.T) {
 	if cs.PeekHits != 1 || cs.Forwards != 0 {
 		t.Errorf("second entry: peek_hits=%d forwards=%d, want 1 and 0", cs.PeekHits, cs.Forwards)
 	}
-	if cs.NetModeledSeconds <= 0 || cs.NetMessages == 0 {
-		t.Errorf("peek traffic must be charged to the modeled network (sec=%v msgs=%d)",
-			cs.NetModeledSeconds, cs.NetMessages)
-	}
 	for v, p := range st2.Result.Part {
 		if p != direct.Part[v] {
 			t.Fatalf("peeked result differs from direct Partition at vertex %d (%d vs %d)",
@@ -256,10 +262,10 @@ func TestClusterRoutesToOneOwner(t *testing.T) {
 
 	// Exactly one node executed the job, and the peek charged no
 	// partition time anywhere in the ring.
-	if done := sumCounter(t, nodes, "jobs.completed"); done != 1 {
+	if done := sumCounter(t, nodes, "jobs_completed"); done != 1 {
 		t.Errorf("ring completed %v jobs for one distinct submission, want 1", done)
 	}
-	if after := sumCounter(t, nodes, "modeled.seconds"); after != modeledBefore {
+	if after := sumCounter(t, nodes, "modeled_seconds"); after != modeledBefore {
 		t.Errorf("cache peek charged modeled partition time: %.9f -> %.9f", modeledBefore, after)
 	}
 }
@@ -463,15 +469,10 @@ func TestClusterMetricsExported(t *testing.T) {
 		"gpmetisd_cluster_peek_hits",
 		"gpmetisd_cluster_peek_misses",
 		"gpmetisd_cluster_failovers_total",
-		"gpmetisd_cluster_net_modeled_seconds",
-		"gpmetisd_cluster_net_messages",
 		"gpmetisd_cluster_replicas 2",
 		"gpmetisd_cluster_replica_pushes",
 		"gpmetisd_cluster_replica_stores",
 		"gpmetisd_cluster_replica_hits",
-		"gpmetisd_cluster_handoff_hinted",
-		"gpmetisd_cluster_handoff_drained",
-		"gpmetisd_cluster_handoff_hints_outstanding",
 		"gpmetisd_cluster_repair_pushed",
 		"gpmetisd_cluster_repair_pulled",
 		`gpmetisd_cluster_node_up{node="1"} 1`,

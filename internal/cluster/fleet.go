@@ -72,10 +72,9 @@ func (n *Node) fleetSnapshot() server.FleetStatus {
 	return fs
 }
 
-// fetchPeerStatus pulls one peer's /admin/status.json, charging the
-// modeled network and timing the real round trip like every other RPC.
+// fetchPeerStatus pulls one peer's /admin/status.json, timing the real
+// round trip like every other RPC.
 func (n *Node) fetchPeerStatus(p Peer) (*server.StatusResponse, float64, error) {
-	n.net.Charge(0)
 	req, err := http.NewRequest(http.MethodGet, "http://"+p.Addr+"/admin/status.json", nil)
 	if err != nil {
 		return nil, 0, err
@@ -91,7 +90,6 @@ func (n *Node) fetchPeerStatus(p Peer) (*server.StatusResponse, float64, error) 
 	if err != nil {
 		return nil, rtt, err
 	}
-	n.net.Charge(len(b))
 	if resp.StatusCode != http.StatusOK {
 		return nil, rtt, fmt.Errorf("status fetch: HTTP %d", resp.StatusCode)
 	}
@@ -109,7 +107,6 @@ func (n *Node) handleFleetJSON(w http.ResponseWriter, _ *http.Request) {
 // fleetTmpl renders the federated fleet view in the same idiom as the
 // per-node ops page: static HTML, refreshes itself, no JavaScript.
 var fleetTmpl = template.Must(template.New("fleet").Funcs(template.FuncMap{
-	"secs": func(v float64) string { return fmt.Sprintf("%.3fs", v) },
 	"ms":   func(v float64) string { return fmt.Sprintf("%.1fms", v*1000) },
 	"pct1": func(v float64) string { return fmt.Sprintf("%.1f%%", v) },
 	"burn": func(v float64) string { return fmt.Sprintf("%.2f", v) },
@@ -144,7 +141,7 @@ th { background: #1c1c1c; } td:first-child, th:first-child { text-align: left; }
 
 <h2>Nodes</h2>
 <table>
-<tr><th>node</th><th>addr</th><th>state</th><th>rtt</th><th>ring share</th><th>queue</th><th>completed</th><th>failed</th><th>SLO</th><th>fast burn</th><th>slow burn</th><th>quarantined</th><th>hint debt</th><th>cache</th></tr>
+<tr><th>node</th><th>addr</th><th>state</th><th>rtt</th><th>ring share</th><th>queue</th><th>completed</th><th>failed</th><th>SLO</th><th>fast burn</th><th>slow burn</th><th>quarantined</th><th>cache</th></tr>
 {{range .Nodes}}<tr>
 <td>{{.ID}}{{if .Self}} (self){{end}}</td><td>{{.Addr}}</td>
 {{if .Left}}<td class="muted">left</td>{{else if .Up}}<td class="ok">up</td>{{else}}<td class="down">down</td>{{end}}
@@ -154,20 +151,19 @@ th { background: #1c1c1c; } td:first-child, th:first-child { text-align: left; }
 <td>{{.QueueDepth}}/{{.QueueCap}}</td><td>{{.JobsCompleted}}</td><td>{{.JobsFailed}}</td>
 <td class="{{.SLO.Status}}">{{.SLO.Status}}</td><td>{{burn .SLO.Fast.LatencyBurn}}</td><td>{{burn .SLO.Slow.LatencyBurn}}</td>
 <td{{if quarantined .Slots}} class="warn"{{end}}>{{quarantined .Slots}}</td>
-<td{{if .Cluster}}{{if .Cluster.HintsOutstanding}} class="warn"{{end}}>{{.Cluster.HintsOutstanding}}{{else}}>0{{end}}</td>
 <td>{{.CacheEntries}}</td>
 {{else}}
-<td colspan="9" class="muted">{{if .Left}}decommissioned{{else}}{{.Error}}{{end}}</td>
+<td colspan="8" class="muted">{{if .Left}}decommissioned{{else}}{{.Error}}{{end}}</td>
 {{end}}
 </tr>
 {{end}}</table>
 
 <h2>Cluster traffic (as reported by each node)</h2>
 <table>
-<tr><th>node</th><th>forwards</th><th>peek hits</th><th>peek misses</th><th>failovers</th><th>replica pushes</th><th>hints drained</th><th>repair pushed</th><th>repair pulled</th><th>net modeled</th></tr>
+<tr><th>node</th><th>forwards</th><th>peek hits</th><th>peek misses</th><th>failovers</th><th>replica pushes</th><th>repair pushed</th><th>repair pulled</th></tr>
 {{range .Nodes}}{{with .Status}}{{with .Cluster}}<tr>
 <td>{{.NodeID}}</td><td>{{.Forwards}}</td><td>{{.PeekHits}}</td><td>{{.PeekMisses}}</td><td>{{.Failovers}}</td>
-<td>{{.ReplicaPushes}}</td><td>{{.HandoffDrained}}</td><td>{{.RepairPushed}}</td><td>{{.RepairPulled}}</td><td>{{secs .NetModeledSeconds}}</td>
+<td>{{.ReplicaPushes}}</td><td>{{.RepairPushed}}</td><td>{{.RepairPulled}}</td>
 </tr>
 {{end}}{{end}}{{end}}</table>
 

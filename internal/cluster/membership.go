@@ -145,8 +145,7 @@ func (n *Node) handleLeave(w http.ResponseWriter, r *http.Request) {
 
 // handleJoin processes a departed peer's return announcement: clear its
 // departure mark, rebuild the ring, and reset its health to up so
-// traffic (and any hint backlog) flows immediately instead of waiting
-// out the probe backoff.
+// traffic flows immediately instead of waiting out the probe backoff.
 func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	id, ok := decodeRingChange(w, r)
 	if !ok {
@@ -158,10 +157,9 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	n.ringMu.Lock()
 	known := false
-	var joined Peer
 	for _, p := range n.peersAll {
 		if p.ID == id {
-			known, joined = true, p
+			known = true
 			break
 		}
 	}
@@ -179,7 +177,6 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	n.ringMu.Unlock()
 	n.srv.RecordEvent(obs.EvClusterMembership, fmt.Sprintf("node %d rejoined the ring", id))
 	n.log.Info("ring member rejoined", "peer", id)
-	n.spawnDrain(joined)
 	writeJSON(w, http.StatusOK, map[string]bool{"joined": true})
 }
 
@@ -202,14 +199,12 @@ func decodeRingChange(w http.ResponseWriter, r *http.Request) (int, bool) {
 }
 
 // announce posts a leave/join announcement about node id to a peer,
-// charged to the modeled network like any other inter-node message and
 // carrying the caller's round trace.
 func (n *Node) announce(p Peer, path string, id int, tc obs.TraceContext) error {
 	payload, err := json.Marshal(ringChange{Node: id})
 	if err != nil {
 		return err
 	}
-	n.net.Charge(len(payload))
 	req, err := http.NewRequest(http.MethodPost, "http://"+p.Addr+path,
 		strings.NewReader(string(payload)))
 	if err != nil {
@@ -221,8 +216,7 @@ func (n *Node) announce(p Peer, path string, id int, tc obs.TraceContext) error 
 		return err
 	}
 	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	n.net.Charge(len(b))
+	io.Copy(io.Discard, resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("announce %s status %d", path, resp.StatusCode)
 	}

@@ -311,8 +311,7 @@ func TestClusterRPCMetricsObserve(t *testing.T) {
 	}
 }
 
-// TestClusterBackgroundTraces: replication, hinted handoff, and
-// anti-entropy rounds each record trace-id-bearing flight-recorder
+// TestClusterBackgroundTraces: replication and anti-entropy rounds each record trace-id-bearing flight-recorder
 // events, their spans land in the span store (replayable via
 // GET /internal/trace/{trace_id}), and their wire calls move the
 // purpose-labeled rpc histograms.
@@ -390,30 +389,6 @@ func TestClusterBackgroundTraces(t *testing.T) {
 	}
 	if !rpcCountNonZero(scrapeMetrics(t, ownerNode.base()), "replica_put") {
 		t.Error("replication moved no replica_put histogram")
-	}
-
-	// Hinted handoff: hint a digest for a peer by hand, then drain.
-	var peer Peer
-	for _, p := range ownerNode.node.otherPeers() {
-		peer = p
-		break
-	}
-	ownerNode.node.addHint(peer, key, "test")
-	ownerNode.node.DrainHintsNow()
-	var drainTrace string
-	for _, ev := range fetchEvents(t, ownerNode.base()) {
-		if ev.Type == obs.EvClusterHintDrained {
-			drainTrace = ev.Trace
-		}
-	}
-	if drainTrace == "" {
-		t.Fatal("hint drain recorded no trace-bearing event")
-	}
-	if st2, ok := ownerNode.node.spans.Get(drainTrace); !ok || len(st2.Spans) == 0 {
-		t.Error("hint drain round left no spans in the span store")
-	}
-	if !rpcCountNonZero(scrapeMetrics(t, ownerNode.base()), "handoff_put") {
-		t.Error("hint drain moved no handoff_put histogram")
 	}
 
 	// Anti-entropy: plant divergence on the owner, then sweep.

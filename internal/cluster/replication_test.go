@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,9 +68,8 @@ func relisten(t *testing.T, addr string) net.Listener {
 }
 
 // TestClusterReplicatesOnCompletion: a fresh completion on a digest's
-// owner is pushed asynchronously to the next ring successor, lands
-// bit-identically in its cache, and the push traffic is charged to the
-// modeled network.
+// owner is pushed asynchronously to the next ring successor and lands
+// bit-identically in its cache.
 func TestClusterReplicatesOnCompletion(t *testing.T) {
 	nodes := startTestRing(t, 3)
 
@@ -86,7 +85,6 @@ func TestClusterReplicatesOnCompletion(t *testing.T) {
 	}
 	target := nodes[targets[0].ID]
 
-	netBefore := owner.node.net.Seconds()
 	st, _ := clusterSubmit(t, owner.base(), req)
 	st = clusterPoll(t, owner.base(), st.ID)
 	if st.State != server.StateDone {
@@ -111,9 +109,6 @@ func TestClusterReplicatesOnCompletion(t *testing.T) {
 	}
 	if stores := target.node.replicaStores.Load(); stores != 1 {
 		t.Errorf("target stored %d replicas, want 1", stores)
-	}
-	if after := owner.node.net.Seconds(); after <= netBefore {
-		t.Errorf("replication was not charged to the modeled network (%.9f -> %.9f)", netBefore, after)
 	}
 	cs := owner.node.Status()
 	if cs.Replicas != 2 || cs.ReplicaPushes != 1 {
@@ -154,8 +149,8 @@ func TestClusterFailoverServedFromReplica(t *testing.T) {
 
 	owner.hs.Close() // kill the owner; its cache dies with it
 	survivors := []*ringNode{target, other}
-	jobsBefore := sumCounter(t, survivors, "jobs.completed")
-	modeledBefore := sumCounter(t, survivors, "modeled.seconds")
+	jobsBefore := sumCounter(t, survivors, "jobs_completed")
+	modeledBefore := sumCounter(t, survivors, "modeled_seconds")
 
 	// Entering at the non-replica survivor: the walk skips the dead
 	// owner and peeks the replica holder.
@@ -181,10 +176,10 @@ func TestClusterFailoverServedFromReplica(t *testing.T) {
 		}
 	}
 
-	if after := sumCounter(t, survivors, "jobs.completed"); after != jobsBefore {
+	if after := sumCounter(t, survivors, "jobs_completed"); after != jobsBefore {
 		t.Errorf("replica-served reads executed jobs: completed %v -> %v", jobsBefore, after)
 	}
-	if after := sumCounter(t, survivors, "modeled.seconds"); after != modeledBefore {
+	if after := sumCounter(t, survivors, "modeled_seconds"); after != modeledBefore {
 		t.Errorf("replica-served reads charged partition time: %.9f -> %.9f", modeledBefore, after)
 	}
 	if fo := other.node.failovers.Load() + target.node.failovers.Load(); fo < 2 {
@@ -192,10 +187,11 @@ func TestClusterFailoverServedFromReplica(t *testing.T) {
 	}
 }
 
-// TestClusterHintedHandoffDrain: a replica push to a dead peer becomes a
-// hint (deduped by digest), and once the peer is back a drain delivers
-// the backlog and the outstanding gauge returns to zero.
-func TestClusterHintedHandoffDrain(t *testing.T) {
+// TestClusterMissedReplicaRepairedByAntiEntropy: a replica push to a
+// dead peer is dropped, not queued; once the peer is back, one
+// anti-entropy sweep leaves it holding the entry bit-identical to the
+// owner's, without running the job there.
+func TestClusterMissedReplicaRepairedByAntiEntropy(t *testing.T) {
 	nodes := startTestRing(t, 3)
 
 	g, err := gpmetis.Grid2D(25, 25)
@@ -213,49 +209,44 @@ func TestClusterHintedHandoffDrain(t *testing.T) {
 	if st.State != server.StateDone {
 		t.Fatalf("job state %s, error %q", st.State, st.Error)
 	}
-	waitFor(t, "the failed push to become a hint", func() bool {
-		return owner.node.HintsOutstanding() == 1
+	failedPut := fmt.Sprintf(`gpmetisd_cluster_rpc_errors_total{peer="%d",rpc="replica_put"} 1`, target.peer.ID)
+	waitFor(t, "the push to the dead target to fail", func() bool {
+		return strings.Contains(scrapeMetrics(t, owner.base()), failedPut)
 	})
-	if hinted := owner.node.handoffHinted.Load(); hinted != 1 {
-		t.Errorf("recorded %d hints, want 1", hinted)
+	if pushes := owner.node.replicaPushes.Load(); pushes != 0 {
+		t.Errorf("owner counted %d replica pushes to a dead target, want 0", pushes)
+	}
+	if _, ok := target.srv.PeekCached(key); ok {
+		t.Fatal("the dead target holds the entry before any repair")
 	}
 
-	// A second replication attempt of the same digest dedups against the
-	// standing hint instead of queueing a duplicate.
-	owner.node.enqueueReplication(key, st.Result)
-	waitFor(t, "the duplicate push attempt to resolve", func() bool {
-		h := owner.node.peerHealth(target.peer.ID)
-		return h != nil && h.down() || owner.node.HintsOutstanding() == 1
-	})
-	time.Sleep(20 * time.Millisecond)
-	if n := owner.node.HintsOutstanding(); n != 1 {
-		t.Errorf("outstanding hints = %d after a duplicate push, want 1 (dedup by digest)", n)
-	}
-	if hinted := owner.node.handoffHinted.Load(); hinted != 1 {
-		t.Errorf("recorded %d hints after a duplicate, want 1", hinted)
-	}
-
-	// Bring the peer back and drain.
+	// Bring the peer back; one sweep from it (the Rejoin catch-up path)
+	// pulls the entry it should replicate.
 	ln := relisten(t, target.peer.Addr)
 	hs2 := &http.Server{Handler: target.hs.Handler}
 	go hs2.Serve(ln)
 	t.Cleanup(func() { hs2.Close() })
 
-	waitFor(t, "the hint backlog to drain", func() bool {
-		owner.node.DrainHintsNow()
-		return owner.node.HintsOutstanding() == 0
-	})
-	if drained := owner.node.handoffDrain.Load(); drained != 1 {
-		t.Errorf("drained %d hints, want 1", drained)
-	}
+	jobsBefore := sumCounter(t, []*ringNode{target}, "jobs_completed")
+	target.node.AntiEntropyNow()
 	rep, ok := target.srv.PeekCached(key)
 	if !ok {
-		t.Fatal("drained hint did not land in the target's cache")
+		t.Fatal("anti-entropy did not deliver the missed replica")
+	}
+	if len(rep.Part) != len(st.Result.Part) || rep.EdgeCut != st.Result.EdgeCut {
+		t.Fatalf("repaired replica: %d vertices cut %d, owner %d vertices cut %d",
+			len(rep.Part), rep.EdgeCut, len(st.Result.Part), st.Result.EdgeCut)
 	}
 	for v, p := range rep.Part {
 		if p != st.Result.Part[v] {
-			t.Fatalf("handed-off result differs at vertex %d (%d vs %d)", v, p, st.Result.Part[v])
+			t.Fatalf("repaired replica differs at vertex %d (%d vs %d)", v, p, st.Result.Part[v])
 		}
+	}
+	if pulled := target.node.repairPulled.Load(); pulled != 1 {
+		t.Errorf("target pulled %d entries, want 1", pulled)
+	}
+	if after := sumCounter(t, []*ringNode{target}, "jobs_completed"); after != jobsBefore {
+		t.Errorf("target ran the job to repair it: jobs_completed %v -> %v", jobsBefore, after)
 	}
 }
 
@@ -339,57 +330,11 @@ func TestClusterAntiEntropyRepair(t *testing.T) {
 	}
 }
 
-// TestHintTableDedupAndPersistence: hints dedup by digest per peer and
-// survive a restart of the hinting node via the per-peer JSONL journal.
-func TestHintTableDedupAndPersistence(t *testing.T) {
-	dir := t.TempDir()
-	ht := newHintTable(dir)
-	if !ht.add(1, "k1") {
-		t.Fatal("first add rejected")
-	}
-	if ht.add(1, "k1") {
-		t.Error("duplicate digest accepted for the same peer")
-	}
-	if !ht.add(1, "k2") || !ht.add(2, "k1") {
-		t.Fatal("distinct adds rejected")
-	}
-	if n := ht.outstanding(); n != 3 {
-		t.Fatalf("outstanding = %d, want 3", n)
-	}
-
-	// A fresh table over the same directory reloads the backlog.
-	ht2 := newHintTable(dir)
-	if err := ht2.load(); err != nil {
-		t.Fatal(err)
-	}
-	if n := ht2.outstanding(); n != 3 {
-		t.Fatalf("reloaded outstanding = %d, want 3", n)
-	}
-	if ht2.add(1, "k1") {
-		t.Error("reloaded table accepted a duplicate digest")
-	}
-	got := ht2.take(1)
-	if len(got) != 2 || got[0] != "k1" || got[1] != "k2" {
-		t.Fatalf("take(1) = %v, want FIFO [k1 k2]", got)
-	}
-	// Taking the backlog removes the journal file.
-	if _, err := os.Stat(filepath.Join(dir, "hints-to-node1.jsonl")); !os.IsNotExist(err) {
-		t.Errorf("peer 1 journal still present after take: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "hints-to-node2.jsonl")); err != nil {
-		t.Errorf("peer 2 journal missing: %v", err)
-	}
-
-	// Requeue preserves delivery order ahead of nothing.
-	ht2.requeue(1, got)
-	if n := ht2.outstandingFor(1); n != 2 {
-		t.Fatalf("requeued outstanding = %d, want 2", n)
-	}
-}
-
 // TestClusterCloseStopsGoroutines pins the leak fix: Close must stop the
-// prober, the replicator, the anti-entropy sweep, and any drains — the
-// goroutine count returns to its pre-New baseline.
+// prober, the replicator, and the anti-entropy sweep — no goroutine
+// running Node code survives it. The node's own goroutines are counted
+// from a full stack dump rather than runtime.NumGoroutine, which also
+// counts earlier tests' connection goroutines still winding down.
 func TestClusterCloseStopsGoroutines(t *testing.T) {
 	s := server.New(server.Config{
 		Devices: 1, QueueCap: 4, CacheCap: 8, Logger: obs.DiscardLogger(),
@@ -398,7 +343,9 @@ func TestClusterCloseStopsGoroutines(t *testing.T) {
 	// Unreachable peer addresses keep the prober busy failing.
 	peers := []Peer{{ID: 0, Addr: "127.0.0.1:1"}, {ID: 1, Addr: "127.0.0.1:2"}}
 
-	before := runtime.NumGoroutine()
+	waitFor(t, "earlier tests' Node goroutines to exit", func() bool {
+		return nodeGoroutines() == 0
+	})
 	nd, err := New(Config{
 		NodeID: 0, Peers: peers, Server: s,
 		ProbeInterval: time.Millisecond, AntiEntropyInterval: time.Millisecond,
@@ -407,15 +354,36 @@ func TestClusterCloseStopsGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "background loops to start", func() bool {
-		return runtime.NumGoroutine() > before
+	waitFor(t, "the prober, replicator, and sweep loops to start", func() bool {
+		return nodeGoroutines() >= 3
 	})
 	time.Sleep(20 * time.Millisecond) // a few probe/sweep ticks
 	nd.Close()
-	waitFor(t, "goroutines to return to the pre-New baseline", func() bool {
-		return runtime.NumGoroutine() <= before
+	waitFor(t, "every Node goroutine to exit", func() bool {
+		return nodeGoroutines() == 0
 	})
 	nd.Close() // idempotent
+}
+
+// nodeGoroutines counts live goroutines with a cluster.(*Node) method
+// on their stack.
+func nodeGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "internal/cluster.(*Node).") {
+			count++
+		}
+	}
+	return count
 }
 
 // TestClusterJournalReplayNoReReplication (satellite): a node restarted
@@ -558,7 +526,7 @@ func TestClusterDecommissionAndRejoin(t *testing.T) {
 			t.Errorf("node %d ring has %d members after the leave, want 2", rn.peer.ID, size)
 		}
 	}
-	jobsBefore := sumCounter(t, nodes[1:], "jobs.completed")
+	jobsBefore := sumCounter(t, nodes[1:], "jobs_completed")
 	st2, code := clusterSubmit(t, nodes[1].base(), req)
 	if code != http.StatusOK || !st2.Cached {
 		t.Fatalf("post-decommission resubmit: code=%d cached=%t, want 200/true", code, st2.Cached)
@@ -568,7 +536,7 @@ func TestClusterDecommissionAndRejoin(t *testing.T) {
 			t.Fatalf("pushed result differs at vertex %d (%d vs %d)", v, p, st.Result.Part[v])
 		}
 	}
-	if after := sumCounter(t, nodes[1:], "jobs.completed"); after != jobsBefore {
+	if after := sumCounter(t, nodes[1:], "jobs_completed"); after != jobsBefore {
 		t.Errorf("resubmit of decommission-pushed work recomputed: %v -> %v", jobsBefore, after)
 	}
 

@@ -3,10 +3,8 @@
 // full member list from a shared peers.json. Jobs are routed by their
 // content-addressed digest, so identical submissions land on the node
 // that already caches them; non-owned submissions are forwarded over
-// HTTP after a cheap cross-node cache peek, and every peek, forward,
-// and response is charged against an α+βn modeled network (NetModel) —
-// the same cost discipline the MPI substrate applies to rank messages
-// (DESIGN.md §14).
+// HTTP after a cheap cross-node cache peek, and every internode RPC is
+// wall-timed per peer and RPC type (DESIGN.md §14).
 package cluster
 
 import (

@@ -15,17 +15,16 @@ import (
 // fwdInfo is what the entry node remembers about a job it forwarded:
 // the owning peer for proxying, and the trace context the forward
 // carried — the shared trace id, the forward span's id (the remote
-// spans' parent), the send instant on this node's clock, the measured
-// round trip, and the modeled network charge. sentAt and rtt are the
-// clock-alignment inputs: the owner received the forward at roughly
-// sentAt + rtt/2 on this node's clock.
+// spans' parent), the send instant on this node's clock, and the
+// measured round trip. sentAt and rtt are the clock-alignment inputs:
+// the owner received the forward at roughly sentAt + rtt/2 on this
+// node's clock.
 type fwdInfo struct {
-	peer       Peer
-	traceID    string
-	spanID     int64
-	sentAt     time.Time
-	rtt        float64
-	netSeconds float64
+	peer    Peer
+	traceID string
+	spanID  int64
+	sentAt  time.Time
+	rtt     float64
 }
 
 // handleTraceFetch serves this node's spans under a trace id — the
@@ -56,7 +55,6 @@ func (n *Node) handleTraceFetch(w http.ResponseWriter, r *http.Request) {
 
 // fetchRemoteTrace pulls the owner's spans for a forwarded job's trace.
 func (n *Node) fetchRemoteTrace(fi fwdInfo) (*server.NodeTrace, error) {
-	n.net.Charge(len(fi.traceID))
 	req, err := http.NewRequest(http.MethodGet, "http://"+fi.peer.Addr+"/internal/trace/"+fi.traceID, nil)
 	if err != nil {
 		return nil, err
@@ -71,7 +69,6 @@ func (n *Node) fetchRemoteTrace(fi fwdInfo) (*server.NodeTrace, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.net.Charge(len(b))
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("trace fetch status %d", resp.StatusCode)
 	}
@@ -122,8 +119,7 @@ func (n *Node) stitchForwardedTrace(w http.ResponseWriter, fi fwdInfo) bool {
 			Args: map[string]any{
 				"span": fi.spanID, "trace_id": fi.traceID, "job_id": nt.JobID,
 				"to": fi.peer.ID, "to_addr": fi.peer.Addr,
-				"rtt_seconds": fi.rtt, "net_modeled_seconds": fi.netSeconds,
-				"node": strconv.Itoa(n.self.ID),
+				"rtt_seconds": fi.rtt, "node": strconv.Itoa(n.self.ID),
 			},
 		},
 	}

@@ -14,14 +14,13 @@ import (
 
 // RPC type labels for the per-peer × per-RPC-type latency and error
 // series (gpmetisd_cluster_rpc_*). The replica PUT wire call carries
-// three labels depending on why it was made — replication, hinted
-// handoff, anti-entropy repair — so each background subsystem's traffic
-// is separable on a dashboard.
+// two labels depending on why it was made — replication (and
+// decommission) or anti-entropy repair — so each background subsystem's
+// traffic is separable on a dashboard.
 const (
 	rpcForward    = "forward"
 	rpcPeek       = "peek"
 	rpcReplicaPut = "replica_put"
-	rpcHandoffPut = "handoff_put"
 	rpcRepairPut  = "repair_put"
 	rpcSummary    = "summary"
 	rpcProbe      = "probe"
@@ -35,7 +34,7 @@ const (
 // exist on a fresh /metrics scrape, not after the first call of each
 // kind (the metrics-lint invariant).
 var rpcTypes = []string{
-	rpcForward, rpcPeek, rpcReplicaPut, rpcHandoffPut, rpcRepairPut,
+	rpcForward, rpcPeek, rpcReplicaPut, rpcRepairPut,
 	rpcSummary, rpcProbe, rpcAnnounce, rpcProxy, rpcTraceFetch, rpcStatus,
 }
 
@@ -57,9 +56,8 @@ type rpcStat struct {
 }
 
 // rpcMetrics aggregates every internode RPC this node issued, keyed by
-// (peer id, rpc type). It lives beside the modeled α+βn accounting in
-// NetModel: the model says what the traffic should cost, these series
-// say what it did cost.
+// (peer id, rpc type): the wall time the cluster traffic actually
+// cost.
 type rpcMetrics struct {
 	mu       sync.Mutex
 	stats    map[string]*rpcStat
@@ -155,7 +153,7 @@ func (m *rpcMetrics) snapshot() ([]obs.PromSample, []obs.PromHistogram) {
 			Sum: c.st.sum, Count: c.st.count,
 		}
 		if i == 0 {
-			h.Help = "Real wall seconds of internode RPCs by peer and type (the modeled charge is gpmetisd_cluster_net_modeled_seconds)."
+			h.Help = "Real wall seconds of internode RPCs by peer and type."
 		}
 		hists = append(hists, h)
 	}
@@ -206,9 +204,8 @@ func spanAttrs(p Peer, kvs ...any) map[string]any {
 }
 
 // recordRoundSpan stores one closed span of a background round (a
-// replication push, a hint drain, a repair transfer) into the node's
-// bounded span store, so GET /internal/trace/{trace_id} can replay the
-// round.
+// replication push, a repair transfer) into the node's bounded span
+// store, so GET /internal/trace/{trace_id} can replay the round.
 func (n *Node) recordRoundSpan(traceID, name string, start, end time.Time, attrs map[string]any) {
 	n.spans.Append(traceID, obs.SpanRecord{
 		Span:          n.nextSpanID(),

@@ -28,7 +28,7 @@ const (
 	lifeJournal   = "journal-append"
 	lifeCoalesced = "coalesced-wait"
 	// lifeClusterForward precedes admit on jobs that arrived via the ring:
-	// a zero-width span carrying the forward's modeled network seconds.
+	// a zero-width span naming the entry node that forwarded the job.
 	lifeClusterForward = "cluster-forward"
 )
 

@@ -546,7 +546,7 @@ func (s *Server) PeekCached(key string) (*JobResult, bool) {
 
 // StoreReplicated stores a peer's completed result under its content key
 // — the write behind the cluster tier's PUT /internal/cache/{digest}
-// (replication, hinted-handoff drains, anti-entropy repair). It bypasses
+// (replication, decommission, anti-entropy repair). It bypasses
 // hit/miss accounting, journals a replica record so the entry survives a
 // restart, and reports whether the entry was newly stored: false means
 // the cache already held it (or caching is disabled), which is how the
@@ -639,14 +639,11 @@ func (s *Server) Submit(req *SubmitRequest) (*Job, error) {
 	job.submittedAt = t0
 	if req.ForwardedBy != "" {
 		// The ring forward that delivered this job appears in its own
-		// trace: a zero-width wall span carrying the α+βn modeled cost of
-		// the network hop. The entry node's trace context rides the
-		// forward, so this job joins the caller's trace instead of
+		// trace as a zero-width wall span naming the entry node. The entry
+		// node's trace context rides the forward, so this job joins the caller's trace instead of
 		// minting its own, and its spans parent under the caller's
 		// cluster-forward span when the entry node stitches.
-		attrs := map[string]any{
-			"from": req.ForwardedBy, "net_modeled_seconds": req.ForwardNetSeconds,
-		}
+		attrs := map[string]any{"from": req.ForwardedBy}
 		if req.ForwardTraceID != "" {
 			job.traceID = req.ForwardTraceID
 			if req.ForwardSpanID != 0 {
@@ -1101,7 +1098,6 @@ func (s *Server) Job(id string) (*Job, bool) {
 //	GET    /jobs/{id}/trace Chrome trace_event JSON of the job's run
 //	GET    /jobs/{id}/profile kernel-level roofline profile (profiled jobs)
 //	GET    /metrics         Prometheus text exposition
-//	GET    /metrics.json    counter registry snapshot as flat JSON
 //	GET    /healthz         liveness + occupancy + SLO posture + build info
 //	GET    /slo             full SLO evaluation (burn rates, windows)
 //	GET    /admin/status    live ops view (self-refreshing HTML)
@@ -1118,7 +1114,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}/trace", s.handleTrace)
 	mux.HandleFunc("GET /jobs/{id}/profile", s.handleProfile)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /slo", s.handleSLO)
 	mux.HandleFunc("GET /admin/status", s.handleStatusHTML)
@@ -1246,29 +1241,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// cacheExtra derives the cache-layer metric values merged into both
-// metrics expositions.
-func (s *Server) cacheExtra() map[string]float64 {
-	hits, misses, evicted := s.cache.Stats()
-	extra := map[string]float64{
-		"cache.hits":     float64(hits),
-		"cache.misses":   float64(misses),
-		"cache.evicted":  float64(evicted),
-		"cache.entries":  float64(s.cache.Len()),
-		"uptime.seconds": time.Since(s.start).Seconds(),
-	}
-	var rate float64
-	if hits+misses > 0 {
-		rate = float64(hits) / float64(hits+misses)
-	}
-	extra["cache.hit_rate"] = rate
-	return extra
-}
-
 // handleMetrics serves the Prometheus text exposition: every registry
 // counter and histogram under the gpmetisd_ prefix, plus build info,
 // cache and uptime gauges, and the per-slot utilization/quarantine
-// series. The JSON form lives at /metrics.json.
+// series.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var extra []obs.PromSample
 	buildLabels := []obs.Label{
@@ -1286,13 +1262,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		Value:  1,
 		Help:   "Build metadata; the value is always 1.",
 	})
-	ce := s.cacheExtra()
-	for _, name := range []string{
-		"cache.hits", "cache.misses", "cache.evicted", "cache.entries",
-		"cache.hit_rate", "uptime.seconds",
-	} {
-		extra = append(extra, obs.PromSample{Name: name, Value: ce[name]})
+	hits, misses, evicted := s.cache.Stats()
+	var hitRate float64
+	if hits+misses > 0 {
+		hitRate = float64(hits) / float64(hits+misses)
 	}
+	extra = append(extra,
+		obs.PromSample{Name: "cache.hits", Value: float64(hits)},
+		obs.PromSample{Name: "cache.misses", Value: float64(misses)},
+		obs.PromSample{Name: "cache.evicted", Value: float64(evicted)},
+		obs.PromSample{Name: "cache.entries", Value: float64(s.cache.Len())},
+		obs.PromSample{Name: "cache.hit_rate", Value: hitRate},
+		obs.PromSample{Name: "uptime.seconds", Value: time.Since(s.start).Seconds()},
+	)
 	slo := s.slo.Snapshot()
 	extra = append(extra,
 		obs.PromSample{Name: "slo.latency_threshold_seconds", Value: slo.LatencyThresholdSeconds,
@@ -1364,10 +1346,6 @@ func (s *Server) clusterSamples() []obs.PromSample {
 			Help: "Cross-node cache peeks the remote cache could not answer."},
 		{Name: "cluster.failovers_total", Value: float64(cs.Failovers),
 			Help: "Submissions routed to a ring successor because the owner was down."},
-		{Name: "cluster.net_modeled_seconds", Value: cs.NetModeledSeconds,
-			Help: "Modeled α+βn network seconds charged to cluster traffic."},
-		{Name: "cluster.net_messages", Value: float64(cs.NetMessages),
-			Help: "Inter-node messages charged against the modeled network."},
 		{Name: "cluster.replicas", Value: float64(cs.Replicas),
 			Help: "Configured replication factor (1 = replication off)."},
 		{Name: "cluster.replica_pushes", Value: float64(cs.ReplicaPushes),
@@ -1376,12 +1354,6 @@ func (s *Server) clusterSamples() []obs.PromSample {
 			Help: "Replica entries this node stored on behalf of peers."},
 		{Name: "cluster.replica_hits", Value: float64(cs.ReplicaHits),
 			Help: "Failover reads answered from a replica instead of recomputed."},
-		{Name: "cluster.handoff_hinted", Value: float64(cs.HandoffHinted),
-			Help: "Handoff hints recorded against quarantined replicas."},
-		{Name: "cluster.handoff_drained", Value: float64(cs.HandoffDrained),
-			Help: "Handoff hints delivered after the peer reinstated."},
-		{Name: "cluster.handoff_hints_outstanding", Value: float64(cs.HintsOutstanding),
-			Help: "Handoff hints currently awaiting delivery."},
 		{Name: "cluster.repair_pushed", Value: float64(cs.RepairPushed),
 			Help: "Cache entries pushed to peers by anti-entropy repair."},
 		{Name: "cluster.repair_pulled", Value: float64(cs.RepairPulled),
@@ -1442,13 +1414,6 @@ func (s *Server) tenantSamples() []obs.PromSample {
 		}
 	}
 	return out
-}
-
-// handleMetricsJSON serves the flat JSON registry snapshot that /metrics
-// carried before the Prometheus exposition took that path over.
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	obs.WriteRegistryJSON(w, s.reg, s.cacheExtra())
 }
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -66,20 +67,18 @@ func httpPoll(t *testing.T, base, id string) JobStatus {
 	}
 }
 
+// httpMetrics scrapes /metrics and returns its unlabeled gpmetisd_*
+// series keyed by name without the prefix ("jobs_completed"). Registry
+// counters appear only once touched, so an absent key reads as 0.
 func httpMetrics(t *testing.T, base string) map[string]float64 {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
+	out := map[string]float64{}
+	for series, v := range scrapeProm(t, base) {
+		if name, ok := strings.CutPrefix(series, "gpmetisd_"); ok && !strings.Contains(name, "{") {
+			out[name] = v
+		}
 	}
-	defer resp.Body.Close()
-	var out struct {
-		Counters map[string]float64 `json:"counters"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	return out.Counters
+	return out
 }
 
 // TestServeEndToEnd is the acceptance scenario: 8 concurrent jobs over
@@ -180,10 +179,10 @@ func TestServeEndToEnd(t *testing.T) {
 
 	// Both devices must have been exercised by 8 jobs over 2 slots.
 	m := httpMetrics(t, ts.URL)
-	if m["jobs.completed"] != n {
-		t.Errorf("jobs.completed = %v, want %d", m["jobs.completed"], n)
+	if m["jobs_completed"] != n {
+		t.Errorf("jobs_completed = %v, want %d", m["jobs_completed"], n)
 	}
-	modeledBefore := m["modeled.seconds"]
+	modeledBefore := m["modeled_seconds"]
 	if modeledBefore <= 0 {
 		t.Fatal("modeled.seconds must accumulate over real runs")
 	}
@@ -203,11 +202,11 @@ func TestServeEndToEnd(t *testing.T) {
 		}
 	}
 	m = httpMetrics(t, ts.URL)
-	if m["modeled.seconds"] != modeledBefore {
-		t.Errorf("cache hits charged modeled time: %.9f -> %.9f", modeledBefore, m["modeled.seconds"])
+	if m["modeled_seconds"] != modeledBefore {
+		t.Errorf("cache hits charged modeled time: %.9f -> %.9f", modeledBefore, m["modeled_seconds"])
 	}
-	if m["cache.hits"] != n {
-		t.Errorf("cache.hits = %v, want %d", m["cache.hits"], n)
+	if m["cache_hits"] != n {
+		t.Errorf("cache_hits = %v, want %d", m["cache_hits"], n)
 	}
 
 	// The hit job still serves the original run's trace.
@@ -282,8 +281,8 @@ func TestQueueFullRejection(t *testing.T) {
 		}
 	}
 	m := httpMetrics(t, ts.URL)
-	if m["jobs.rejected"] != 2 {
-		t.Errorf("jobs.rejected = %v, want 2", m["jobs.rejected"])
+	if m["jobs_rejected"] != 2 {
+		t.Errorf("jobs_rejected = %v, want 2", m["jobs_rejected"])
 	}
 }
 
@@ -345,8 +344,8 @@ func TestCancelFreesDeviceSlot(t *testing.T) {
 	if st := httpPoll(t, ts.URL, second.ID); st.State != StateDone {
 		t.Fatalf("post-cancel job state %s (%s), want done — device slot leaked", st.State, st.Error)
 	}
-	if m := httpMetrics(t, ts.URL); m["jobs.canceled"] != 1 {
-		t.Errorf("jobs.canceled = %v, want 1", m["jobs.canceled"])
+	if m := httpMetrics(t, ts.URL); m["jobs_canceled"] != 1 {
+		t.Errorf("jobs_canceled = %v, want 1", m["jobs_canceled"])
 	}
 }
 
@@ -441,8 +440,8 @@ func TestJobFaultScenario(t *testing.T) {
 	if !final.Result.Degraded || final.Result.DegradedReason == "" {
 		t.Errorf("degradation must surface in the job result: %+v", final.Result)
 	}
-	if m := httpMetrics(t, ts.URL); m["jobs.degraded"] != 1 {
-		t.Errorf("jobs.degraded = %v, want 1", m["jobs.degraded"])
+	if m := httpMetrics(t, ts.URL); m["jobs_degraded"] != 1 {
+		t.Errorf("jobs_degraded = %v, want 1", m["jobs_degraded"])
 	}
 }
 

@@ -65,15 +65,13 @@ type SubmitRequest struct {
 	// quotas, and rate limits (see TenantsConfig). Empty means the
 	// "default" tenant.
 	Tenant string `json:"tenant,omitempty"`
-	// ForwardedBy and ForwardNetSeconds are set by the cluster tier when
-	// a peer node forwards a submission to its ring owner: the entry
-	// node's address and the α+βn modeled network seconds the forward
-	// cost. They surface in the job's lifecycle trace and never
-	// participate in the cache key, so a forwarded job caches identically
-	// to a direct one. A non-empty ForwardedBy also pins the job to this
-	// node — forwarded jobs are never re-forwarded.
-	ForwardedBy       string  `json:"forwarded_by,omitempty"`
-	ForwardNetSeconds float64 `json:"forward_net_seconds,omitempty"`
+	// ForwardedBy is set by the cluster tier when a peer node forwards a
+	// submission to its ring owner: the entry node's address. It surfaces
+	// in the job's lifecycle trace and never participates in the cache
+	// key, so a forwarded job caches identically to a direct one. A
+	// non-empty ForwardedBy also pins the job to this node — forwarded
+	// jobs are never re-forwarded.
+	ForwardedBy string `json:"forwarded_by,omitempty"`
 	// ForwardTraceID/ForwardSpanID/ForwardWallUnixNano carry the entry
 	// node's trace context on a ring forward (mirroring the
 	// X-Gpmetis-Trace header): the job keeps the entry node's trace id,
@@ -268,11 +266,6 @@ type ClusterStatus struct {
 	PeekMisses int64 `json:"peek_misses"`
 	Failovers  int64 `json:"failovers"`
 
-	// NetModeledSeconds and NetMessages account every peek, forward, and
-	// proxied response against the α+βn modeled network.
-	NetModeledSeconds float64 `json:"net_modeled_seconds"`
-	NetMessages       int64   `json:"net_messages"`
-
 	// Replication state: the configured replication factor, results
 	// pushed to ring replicas, replica entries stored on behalf of
 	// peers, and failover reads answered from a replica instead of
@@ -281,12 +274,6 @@ type ClusterStatus struct {
 	ReplicaPushes int64 `json:"replica_pushes"`
 	ReplicaStores int64 `json:"replica_stores"`
 	ReplicaHits   int64 `json:"replica_hits"`
-
-	// Hinted handoff: hints recorded against quarantined replicas,
-	// hints drained after reinstatement, and the live backlog.
-	HandoffHinted    int64 `json:"handoff_hinted"`
-	HandoffDrained   int64 `json:"handoff_drained"`
-	HintsOutstanding int64 `json:"hints_outstanding"`
 
 	// Anti-entropy repair: entries pushed to and pulled from peers by
 	// the background digest-summary sweep and read-repair.

@@ -5,19 +5,19 @@
 # submits a job through `gpmetis -cluster`, locates the node that ran
 # it, asserts a resubmission entering at a different node is answered by
 # a cross-node cache peek (bit-identical partition, peek counter
-# incremented, modeled network seconds charged) and that the result
-# replicated to a ring successor; then SIGKILLs the owner and asserts
-# the resubmission is served from the replica — a cache hit, not a
-# recompute — and finally restarts the owner and asserts rejoin
-# catch-up pulls its entries back so it serves locally again.
+# incremented) and that the result replicated to a ring successor; then
+# SIGKILLs the owner and asserts the resubmission is served from the
+# replica — a cache hit, not a recompute — and finally restarts the
+# owner and asserts rejoin catch-up pulls its entries back, including
+# one it missed while dead, so it serves them locally again.
 #
 # The observability plane rides along: the federated fleet view
 # (/admin/cluster/status.json) must list every node up, a forwarded
 # job's trace must come back STITCHED (entry + owner spans under
 # distinct pids in one document), every internode RPC class (forward,
-# replica_put, summary, handoff_put) must land in the per-peer
-# histograms, and replication / anti-entropy / hint-drain rounds must
-# each leave a trace-id-bearing event in the flight recorder. Run via
+# replica_put, summary) must land in the per-peer histograms, and
+# replication / anti-entropy rounds must each leave a trace-id-bearing
+# event in the flight recorder. Run via
 # `make serve-smoke` or directly from the repo root.
 set -euo pipefail
 
@@ -119,10 +119,10 @@ grep -q '^gpmetisd_cluster_replica_pushes 1$' "$workdir/owner0.prom" || { grep ^
 echo "cluster-smoke: result replicated to a ring successor (RF=2)"
 
 # When the job entered at a non-owner, its trace must carry the
-# cluster-forward span with the modeled network charge.
+# cluster-forward span with the forward's measured round trip.
 if [[ "$owner" != 0 ]]; then
     grep -q 'cluster-forward' "$workdir/run1.trace.json" || { echo "cluster-smoke: FAIL forwarded job trace has no cluster-forward span"; exit 1; }
-    grep -q 'net_modeled_seconds' "$workdir/run1.trace.json" || { echo "cluster-smoke: FAIL cluster-forward span carries no network charge"; exit 1; }
+    grep -q 'rtt_seconds' "$workdir/run1.trace.json" || { echo "cluster-smoke: FAIL cluster-forward span carries no round-trip time"; exit 1; }
     echo "cluster-smoke: forward span present in the job trace"
 fi
 
@@ -137,9 +137,9 @@ cmp -s "$workdir/run1.part" "$workdir/run2.part" || { echo "cluster-smoke: FAIL 
 
 curl -sf "http://${addrs[$entry]}/metrics" >"$workdir/entry.prom"
 grep -q '^gpmetisd_cluster_peek_hits 1$' "$workdir/entry.prom" || { grep ^gpmetisd_cluster "$workdir/entry.prom"; echo "cluster-smoke: FAIL entry node counted no peek hit"; exit 1; }
-net_secs="$(sed -n 's/^gpmetisd_cluster_net_modeled_seconds \(.*\)/\1/p' "$workdir/entry.prom")"
-awk -v s="$net_secs" 'BEGIN { exit (s > 0 ? 0 : 1) }' || { echo "cluster-smoke: FAIL entry node charged no modeled network seconds ($net_secs)"; exit 1; }
-echo "cluster-smoke: peek hit served cross-node ($net_secs modeled network seconds charged)"
+peeks="$(sed -n 's/^gpmetisd_cluster_rpc_seconds_count{[^}]*rpc="peek"} \([0-9]*\)$/\1/p' "$workdir/entry.prom" | awk '{s+=$1} END {print s+0}')"
+(( peeks >= 1 )) || { grep ^gpmetisd_cluster_rpc "$workdir/entry.prom"; echo "cluster-smoke: FAIL entry node observed no peek RPC in the histograms"; exit 1; }
+echo "cluster-smoke: peek hit served cross-node ($peeks peek RPCs timed)"
 
 # The owner's cache must have answered without rerunning the job.
 curl -sf "http://${addrs[$owner]}/metrics" >"$workdir/owner.prom"
@@ -227,25 +227,23 @@ done
 [[ -n "$down" ]] || { echo "cluster-smoke: FAIL the dead owner was never marked down"; exit 1; }
 echo "cluster-smoke: dead owner quarantined by health probes"
 
-# With the owner dead, hunt a job whose RF=2 preference list includes
-# it: the computing survivor must record a handoff hint instead of a
-# replica push (each k lands on the dead node with probability ~2/3).
-echo "cluster-smoke: planting a hinted handoff for the dead owner"
-hinted=""
-for kk in 6 10 14 18 22 26; do
-    "$workdir/gpmetis" -cluster "${addrs[$entry]},${addrs[$survivor]}" -k "$kk" -json \
-        -o "$workdir/hint.part" "$workdir/smoke.metis" >"$workdir/hint.json"
-    for _ in $(seq 1 10); do
-        for i in "$entry" "$survivor"; do
-            h="$(curl -sf "http://${addrs[$i]}/metrics" | sed -n 's/^gpmetisd_cluster_handoff_hints_outstanding \([0-9]*\).*/\1/p')"
-            if [[ -n "$h" && "$h" -ge 1 ]]; then hinted=$i; break 2; fi
-        done
-        sleep 0.1
-    done
-    [[ -n "$hinted" ]] && break
+# With the owner dead, hunt a job whose digest the dead node owns, so
+# its RF=2 replica set includes the dead node: the entry counts a
+# failover for it (each seed hashes to the dead node with probability
+# ~1/3). The dead node misses that job's replica; only its rejoin
+# catch-up can deliver it.
+echo "cluster-smoke: submitting a job the dead owner misses"
+bait=""
+for sd in $(seq 2 21); do
+    fo_before="$(curl -sf "http://${addrs[$entry]}/metrics" | sed -n 's/^gpmetisd_cluster_failovers_total \([0-9]*\).*/\1/p')"
+    "$workdir/gpmetis" -cluster "${addrs[$entry]},${addrs[$survivor]}" -k 16 -seed "$sd" -json \
+        -o "$workdir/bait.part" "$workdir/smoke.metis" >"$workdir/bait.json"
+    fo_after="$(curl -sf "http://${addrs[$entry]}/metrics" | sed -n 's/^gpmetisd_cluster_failovers_total \([0-9]*\).*/\1/p')"
+    if (( ${fo_after:-0} > ${fo_before:-0} )); then bait=$sd; break; fi
 done
-[[ -n "$hinted" ]] || { echo "cluster-smoke: FAIL no k in six tries replicated toward the dead owner; no hint recorded"; exit 1; }
-echo "cluster-smoke: node $hinted holds a hint for the dead owner"
+[[ -n "$bait" ]] || { echo "cluster-smoke: FAIL no seed in 20 tries hashed to the dead owner"; exit 1; }
+grep -q '"cached": true' "$workdir/bait.json" && { cat "$workdir/bait.json"; echo "cluster-smoke: FAIL the missed job must be fresh, not a cache hit"; exit 1; }
+echo "cluster-smoke: seed $bait ran on a survivor while its owner was dead"
 
 # Restart the owner from nothing on the same address: rejoin catch-up
 # must pull the entries it owns back from its replicas.
@@ -267,7 +265,8 @@ caught_up=""
 while (( SECONDS < deadline )); do
     curl -sf "http://${addrs[$owner]}/metrics" >"$workdir/owner2.prom" 2>/dev/null || { sleep 0.2; continue; }
     pulled="$(sed -n 's/^gpmetisd_cluster_repair_pulled \([0-9]*\).*/\1/p' "$workdir/owner2.prom")"
-    if [[ -n "$pulled" && "$pulled" -ge 1 ]] && grep -q '^gpmetisd_cache_entries [1-9]' "$workdir/owner2.prom"; then
+    if [[ -n "$pulled" && "$pulled" -ge 1 ]] && grep -q '^gpmetisd_cache_entries [1-9]' "$workdir/owner2.prom" &&
+        grep -q 'rejoin catch-up complete' "$workdir/node$owner.restart.log"; then
         caught_up=1
         break
     fi
@@ -294,28 +293,17 @@ cmp -s "$workdir/run1.part" "$workdir/run4.part" || { echo "cluster-smoke: FAIL 
 jc="$(curl -sf "http://${addrs[$owner]}/metrics" | sed -n 's/^gpmetisd_jobs_completed \([0-9]*\).*/\1/p')"
 [[ -z "$jc" || "$jc" -eq 0 ]] || { echo "cluster-smoke: FAIL restarted owner recomputed a repaired job (jobs_completed=$jc)"; exit 1; }
 
-# The planted hint must drain back to the restarted owner once probes
-# reinstate it: no hints left anywhere, a traced hint-drain event on
-# the hinted node, and handoff_put observations in its histograms.
-deadline=$((SECONDS + 15))
-drained=""
-while (( SECONDS < deadline )); do
-    left=0
-    for i in 0 1 2; do
-        h="$(curl -sf "http://${addrs[$i]}/metrics" | sed -n 's/^gpmetisd_cluster_handoff_hints_outstanding \([0-9]*\).*/\1/p')"
-        left=$((left + ${h:-0}))
-    done
-    if (( left == 0 )); then drained=1; break; fi
-    sleep 0.2
-done
-[[ -n "$drained" ]] || { echo "cluster-smoke: FAIL $left hints still undelivered with the ring whole"; exit 1; }
-curl -sf "http://${addrs[$hinted]}/admin/events" >"$workdir/hinted.events.json"
-hint_ev="$(grep -o '{[^{}]*"type":"cluster_hint_drained"[^{}]*}' "$workdir/hinted.events.json" | head -1)"
-[[ -n "$hint_ev" ]] || { echo "cluster-smoke: FAIL node $hinted recorded no cluster_hint_drained event"; exit 1; }
-grep -q '"trace_id":"' <<<"$hint_ev" || { echo "cluster-smoke: FAIL cluster_hint_drained event carries no trace_id: $hint_ev"; exit 1; }
-hput="$(curl -sf "http://${addrs[$hinted]}/metrics" | sed -n 's/^gpmetisd_cluster_rpc_seconds_count{[^}]*rpc="handoff_put"} \([0-9]*\)$/\1/p' | awk '{s+=$1} END {print s+0}')"
-(( hput >= 1 )) || { echo "cluster-smoke: FAIL node $hinted observed no handoff_put RPC in the histograms"; exit 1; }
-echo "cluster-smoke: hint drained to the restarted owner (traced event + handoff_put observed), no hints outstanding"
+# The job it missed while dead is served from its own repaired cache
+# too: a cache hit that is a local job (a job_id; a cross-node peek
+# answer carries none), bit-identical, still with no recompute.
+"$workdir/gpmetis" -cluster "${addrs[$owner]}" -k 16 -seed "$bait" -json -o "$workdir/bait2.part" \
+    "$workdir/smoke.metis" >"$workdir/bait2.json"
+grep -q '"cached": true' "$workdir/bait2.json" || { cat "$workdir/bait2.json"; echo "cluster-smoke: FAIL restarted owner did not serve the job it missed as a cache hit"; exit 1; }
+grep -q '"job_id"' "$workdir/bait2.json" || { cat "$workdir/bait2.json"; echo "cluster-smoke: FAIL the missed job was answered by a peer, not from the restarted owner's cache"; exit 1; }
+cmp -s "$workdir/bait.part" "$workdir/bait2.part" || { echo "cluster-smoke: FAIL repaired partition of the missed job differs"; exit 1; }
+jc="$(curl -sf "http://${addrs[$owner]}/metrics" | sed -n 's/^gpmetisd_jobs_completed \([0-9]*\).*/\1/p')"
+[[ -z "$jc" || "$jc" -eq 0 ]] || { echo "cluster-smoke: FAIL restarted owner recomputed the job it missed (jobs_completed=$jc)"; exit 1; }
+echo "cluster-smoke: restarted owner serves the job it missed while dead from its own cache (anti-entropy catch-up)"
 
 for i in 0 1 2; do
     [[ -n "${pids[$i]}" ]] && kill "${pids[$i]}" 2>/dev/null || true
